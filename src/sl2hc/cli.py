@@ -339,7 +339,14 @@ def _verify_line(verdict) -> str:
 
 def _cmd_verify(args) -> int:
     window = tuple(args.window) if args.window else None
-    verdict = verify_tensor(args.lam, args.eps, args.m, window)
+    if window and window[0] > window[1]:
+        print("argument --window: lower bound exceeds upper bound", file=sys.stderr)
+        return 2
+    try:
+        verdict = verify_tensor(args.lam, args.eps, args.m, window)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if args.format == "text":
         print(_verify_line(verdict))
     else:

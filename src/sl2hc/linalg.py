@@ -1,16 +1,26 @@
-"""Exact linear algebra over the integers for small dense matrices.
+"""Exact linear algebra over the integers.
 
-Matrices are lists of row lists.  Everything is fraction-free: ranks come
-from Bareiss elimination, characteristic polynomials from the
-Faddeev-LeVerrier recursion (whose divisions are exact over the integers),
-so no floating point or rational normalization enters the spectral
-computations built on top.
+Everything is fraction-free, so no floating point or rational normalization
+enters the spectral computations built on top.
+
+The oracle's matrices are tridiagonal and are held as three integer
+diagonals ``(diag, upper, lower)``: ``upper[i]`` is entry (i, i+1) and
+``lower[i]`` entry (i+1, i).  Production uses the routines for that form:
+the continuant recurrence for the characteristic polynomial, and Jordan
+block sizes that need no rank at all on an unreduced tridiagonal matrix and
+otherwise come from ranks of sparse rows by integer cross-elimination.
+
+Dense matrices are lists of row lists.  The dense routines (Bareiss rank,
+Faddeev-LeVerrier characteristic polynomial, whose divisions are exact over
+the integers, and rank-sequence Jordan sizes) are the reference the tests
+compare the tridiagonal routines against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import accumulate, repeat
+from math import gcd, lcm
 
 Matrix = list
 
@@ -38,10 +48,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def mat_sub_scalar(a: Matrix, c) -> Matrix:
     """a - c*I."""
     return [[a[i][j] - c if i == j else a[i][j] for j in range(len(a))] for i in range(len(a))]
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(not x for row in a for x in row)
 
 
 def clear_denominators(a: Matrix, extra=()) -> tuple:
@@ -138,21 +144,30 @@ def jordan_block_sizes(a: Matrix, c, mult: int) -> tuple:
     ``mult`` is the known algebraic multiplicity; the rank sequence of powers
     of (a - c I) determines the partition.
     """
-    n = len(a)
     if mult == 1:
         return (1,)
     b = mat_sub_scalar(a, c)
-    ranks = [n]
-    power = identity(n)
-    while ranks[-1] > n - mult:
-        power = mat_mul(power, b)
-        ranks.append(rank(power))
-        if len(ranks) > n + 1:
+    powers = accumulate(repeat(b, len(a)), mat_mul)
+    return _sizes_from_ranks(len(a), mult, map(rank, powers))
+
+
+def _sizes_from_ranks(n: int, mult: int, ranks) -> tuple:
+    """Jordan block sizes at an eigenvalue of algebraic multiplicity ``mult``.
+
+    ``ranks`` iterates over the ranks of B, B^2, ... for B = a - c I of size
+    n; it is consumed only until the rank reaches n - mult.
+    """
+    seq = [n]
+    ranks = iter(ranks)
+    while seq[-1] > n - mult:
+        r = next(ranks, None)
+        if r is None:
             raise AssertionError("rank sequence failed to stabilize")
-    if ranks[-1] != n - mult:
+        seq.append(r)
+    if seq[-1] != n - mult:
         raise AssertionError("rank sequence undershot the algebraic multiplicity")
-    # number of blocks of size >= i is ranks[i-1] - ranks[i]
-    n_ge = [ranks[i - 1] - ranks[i] for i in range(1, len(ranks))]
+    # number of blocks of size >= i is seq[i-1] - seq[i]
+    n_ge = [seq[i - 1] - seq[i] for i in range(1, len(seq))]
     n_ge.append(0)
     sizes = []
     for i in range(1, len(n_ge)):
@@ -160,3 +175,109 @@ def jordan_block_sizes(a: Matrix, c, mult: int) -> tuple:
     sizes.sort(reverse=True)
     assert sum(sizes) == mult
     return tuple(sizes)
+
+
+# --- tridiagonal matrices ---------------------------------------------------------
+
+
+def tridiagonal_of(a: Matrix) -> tuple:
+    """The diagonals (diag, upper, lower) of a dense tridiagonal matrix."""
+    n = len(a)
+    if any(a[i][j] for i in range(n) for j in range(n) if abs(i - j) > 1):
+        raise ValueError("matrix is not tridiagonal")
+    return (
+        [a[i][i] for i in range(n)],
+        [a[i][i + 1] for i in range(n - 1)],
+        [a[i + 1][i] for i in range(n - 1)],
+    )
+
+
+def tridiagonal_char_poly(diag: list, upper: list, lower: list) -> list:
+    """Monic det(tI - T) of an integer tridiagonal matrix, as ``char_poly`` returns it.
+
+    Continuant recurrence over the leading principal minors,
+    p_i = (t - d_i) p_{i-1} - u_{i-1} l_{i-1} p_{i-2}: O(n^2) integer
+    operations instead of the O(n^4) of the dense recursion.
+    """
+    prev, poly = [], [1]
+    for i, d in enumerate(diag):
+        nxt = poly + [0]
+        for j, c in enumerate(poly):
+            nxt[j + 1] -= d * c
+        w = upper[i - 1] * lower[i - 1] if i else 0
+        if w:
+            for j, c in enumerate(prev):
+                nxt[j + 2] -= w * c
+        prev, poly = poly, nxt
+    return poly
+
+
+def tridiagonal_jordan_block_sizes(diag: list, upper: list, lower: list, c, mult: int) -> tuple:
+    """Jordan block sizes (descending) of an integer tridiagonal matrix at eigenvalue ``c``.
+
+    When every product upper[i] * lower[i] is nonzero the matrix is
+    unreduced, hence nonderogatory (deleting the first row and last column
+    of T - cI leaves a triangular minor with nonzero diagonal, so
+    rank(T - cI) = n - 1): one block of size ``mult``.  Otherwise the rank
+    sequence of (T - cI)^j is computed on sparse rows.
+    """
+    if mult == 1 or all(u * l for u, l in zip(upper, lower)):
+        return (mult,)
+    n = len(diag)
+    b = []
+    for i in range(n):
+        row = {i: diag[i] - c}
+        if i:
+            row[i - 1] = lower[i - 1]
+        if i + 1 < n:
+            row[i + 1] = upper[i]
+        b.append({j: v for j, v in row.items() if v})
+    powers = accumulate(repeat(b, n), _sparse_mul)
+    return _sizes_from_ranks(n, mult, map(sparse_rank, powers))
+
+
+def _sparse_mul(a: list, b: list) -> list:
+    out = []
+    for row in a:
+        acc: dict = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: v for j, v in acc.items() if v})
+    return out
+
+
+def sparse_rank(rows: list) -> int:
+    """Rank of an integer matrix given as sparse rows ``{column: value}``.
+
+    Integer cross-elimination over rows bucketed by leading column: the
+    shortest row of the leftmost bucket becomes a pivot and clears its column
+    from the other rows of that bucket, which are the only rows with a
+    nonzero there.  Each updated row is divided by the gcd of its entries and
+    moves to the bucket of its new leading column.  Every step keeps the rank
+    of the rows left plus the pivots found.
+    """
+    by_lead: dict = {}
+    for row in rows:
+        if row:
+            by_lead.setdefault(min(row), []).append(row)
+    found = 0
+    while by_lead:
+        col = min(by_lead)
+        bucket = by_lead.pop(col)
+        pivot = min(bucket, key=len)
+        pv = pivot[col]
+        found += 1
+        for row in bucket:
+            if row is pivot:
+                continue
+            x = row[col]
+            merged = {}
+            for j in row.keys() | pivot.keys():
+                v = pv * row.get(j, 0) - x * pivot.get(j, 0)
+                if v:
+                    merged[j] = v
+            if merged:
+                g = gcd(*merged.values())
+                by_lead.setdefault(min(merged), []).append({j: v // g for j, v in merged.items()})
+    return found

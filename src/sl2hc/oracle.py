@@ -16,6 +16,15 @@ weight-k subspace of (principal series) (x) V(m) is exactly computable.
 Comparing its generalized eigenvalue multiplicities with the closed-form
 prediction is a genuinely independent check: nothing here consults the
 decomposition formulas.
+
+On the basis (a, b) of a weight space, ordered by b ascending, that matrix
+is tridiagonal.  ``casimir_report`` builds its three diagonals directly as
+integers under one scale (``casimir_band``), takes the characteristic
+polynomial by the continuant recurrence and Jordan sizes from the
+tridiagonal routines of ``linalg``.  The generic construction applying
+Omega to free vectors (``casimir_matrix``), together with the dense
+Faddeev-LeVerrier and Bareiss routines, is the reference the tests compare
+it against.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     Scalar,
@@ -34,7 +43,13 @@ from .core import (
     is_integer,
     ktype_function,
 )
-from .linalg import char_poly, clear_denominators, jordan_block_sizes, root_multiplicity
+from .linalg import (
+    clear_denominators,
+    root_multiplicity,
+    tridiagonal_char_poly,
+    tridiagonal_jordan_block_sizes,
+    tridiagonal_of,
+)
 from .tensor import LengthTwo, block_parameter, decomposition_semisimplification, ps_tensor
 
 
@@ -201,6 +216,43 @@ def casimir_matrix(a: Realization, b: Optional[FinDimRealization], k: int) -> li
     return mat
 
 
+class CasimirBand(NamedTuple):
+    """A tridiagonal rational matrix as ``scale`` times integer diagonals."""
+
+    scale: int
+    diag: list
+    upper: list  # entry (i, i+1)
+    lower: list  # entry (i+1, i)
+
+
+def casimir_band(lam: Scalar, eps: int, m: int, k: int) -> CasimirBand:
+    """Omega on the K-weight-k subspace of I(lam, eps) (x) V(m) as integer diagonals.
+
+    The basis is (a, b) = (k - b, b) for b = -m, -m+2, ..., m, as in
+    ``casimir_matrix``.  With lam = p/q and scale q^2, the entries are q^2
+    times
+
+    - lam^2 + (m+1)^2 - 1 + 2ab on the diagonal,
+    - -(lam+a+1)(m+b) from column (a, b) to row (a+2, b-2),
+    - (lam-a+1)(b-m) from column (a, b) to row (a-2, b+2),
+
+    the entries of Omega(x)1 + 1(x)Omega - 1 + 2 H'(x)H' + 4 E'(x)F' + 4 F'(x)E'.
+    """
+    lam = as_scalar(lam)
+    check_parity(eps)
+    if (k - eps - m) % 2 != 0:
+        raise ValueError(f"no vectors at this K-weight: k={k}")
+    p, q = lam.numerator, lam.denominator
+    bs = range(-m, m + 1, 2)
+    base = p * p + q * q * ((m + 1) ** 2 - 1)
+    return CasimirBand(
+        q * q,
+        [base + 2 * q * q * (k - b) * b for b in bs],
+        [-q * (p + q * (k - b + 1)) * (m + b) for b in bs[1:]],
+        [q * (p - q * (k - b - 1)) * (b - m) for b in bs[:-1]],
+    )
+
+
 def casimir_on_symmetric_power(m: int) -> list:
     """Casimir diagonal on the m-th symmetric power of the defining module.
 
@@ -279,30 +331,35 @@ def casimir_report(lam: Scalar, eps: int, m: int, window: Optional[tuple] = None
     lo, hi = window
     if lo > hi:
         raise ValueError("window must be nonempty")
-    a = PrincipalSeriesRealization(lam, eps)
-    b = FinDimRealization(m)
     candidates = sorted({(lam + m - 2 * j) ** 2 for j in range(m + 1)})
     parity = (eps + m) % 2
     start = lo if (lo - parity) % 2 == 0 else lo + 1
-    entries = []
-    for k in range(start, hi + 1, 2):
-        mat = casimir_matrix(a, b, k)
-        entries.append(_weight_spectrum(k, mat, candidates))
+    if start > hi:
+        raise ValueError(f"window [{lo},{hi}] holds no K-weight k = eps + m (mod 2)")
+    entries = [_weight_spectrum(k, casimir_band(lam, eps, m, k), candidates) for k in range(start, hi + 1, 2)]
     return CasimirReport(lam, eps, m, (lo, hi), tuple(entries))
 
 
-def _weight_spectrum(k: int, mat: list, candidates: list) -> WeightSpectrum:
-    n = len(mat)
-    mint, scale = clear_denominators(mat, extra=candidates)
-    poly = char_poly(mint)
+def _weight_spectrum(k: int, band, candidates) -> WeightSpectrum:
+    """Eigenvalues, multiplicities and Jordan sizes of one weight space's Casimir.
+
+    ``band`` is a ``CasimirBand``, or the dense rows of a tridiagonal
+    rational matrix.  Every eigenvalue must be among ``candidates``, whose
+    scaled values must be integers.
+    """
+    if not isinstance(band, CasimirBand):
+        mint, scale = clear_denominators(band, extra=candidates)
+        band = CasimirBand(scale, *tridiagonal_of(mint))
+    scale, diag, upper, lower = band
+    n = len(diag)
     eigen = []
-    remaining = poly
+    remaining = tridiagonal_char_poly(diag, upper, lower)
     for c in candidates:
         cs = c * scale
         assert cs.denominator == 1
         mult, remaining = root_multiplicity(remaining, int(cs))
         if mult:
-            sizes = jordan_block_sizes(mint, int(cs), mult)
+            sizes = tridiagonal_jordan_block_sizes(diag, upper, lower, int(cs), mult)
             eigen.append((c, mult, sizes))
     if len(remaining) != 1:
         raise UnexpectedEigenvalueError(

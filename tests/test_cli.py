@@ -50,6 +50,18 @@ def test_verify_with_explicit_window(capsys):
     assert (code, out) == (0, "PASS (k in [-11,11]: spectra match)\n")
 
 
+def test_verify_refuses_window_without_weights(capsys):
+    code, out, err = run(capsys, "verify", "1/2", "0", "1", "--window", "2", "2")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "[2,2]" in err
+
+
+def test_verify_reversed_window(capsys):
+    code, out, err = run(capsys, "verify", "1/2", "0", "1", "--window", "5", "3")
+    assert (code, out) == (2, "")
+    assert err == "argument --window: lower bound exceeds upper bound\n"
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     entry = VerifyEntry(
         k=3,

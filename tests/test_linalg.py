@@ -13,6 +13,10 @@ from sl2hc.linalg import (
     mat_sub_scalar,
     rank,
     root_multiplicity,
+    sparse_rank,
+    tridiagonal_char_poly,
+    tridiagonal_jordan_block_sizes,
+    tridiagonal_of,
 )
 
 
@@ -99,3 +103,42 @@ def test_char_poly_trace_det(rows):
     poly = char_poly(rows)
     assert poly[1] == -(rows[0][0] + rows[1][1])
     assert poly[2] == rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+
+
+@given(st.lists(st.lists(st.integers(min_value=-3, max_value=3), min_size=4, max_size=4), min_size=1, max_size=5))
+@settings(max_examples=80)
+def test_sparse_rank_matches_bareiss(rows):
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    assert sparse_rank(sparse) == rank(rows)
+
+
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n),
+            st.lists(st.integers(min_value=-2, max_value=2), min_size=n - 1, max_size=n - 1),
+            st.lists(st.integers(min_value=-2, max_value=2), min_size=n - 1, max_size=n - 1),
+        )
+    )
+)
+@settings(max_examples=80)
+def test_tridiagonal_routines_match_dense(diagonals):
+    diag, upper, lower = diagonals
+    n = len(diag)
+    dense = [[0] * n for _ in range(n)]
+    for i in range(n):
+        dense[i][i] = diag[i]
+        if i + 1 < n:
+            dense[i][i + 1], dense[i + 1][i] = upper[i], lower[i]
+    assert tridiagonal_of(dense) == (diag, upper, lower)
+    poly = tridiagonal_char_poly(diag, upper, lower)
+    assert poly == char_poly(dense)
+    for c in set(diag):
+        mult, _ = root_multiplicity(poly, c)
+        if mult:
+            assert tridiagonal_jordan_block_sizes(diag, upper, lower, c, mult) == jordan_block_sizes(dense, c, mult)
+
+
+def test_tridiagonal_of_rejects_a_full_matrix():
+    with pytest.raises(ValueError):
+        tridiagonal_of([[1, 0, 1], [0, 1, 0], [0, 0, 1]])

@@ -3,10 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sl2hc.linalg import char_poly, clear_denominators, jordan_block_sizes, root_multiplicity
 from sl2hc.oracle import (
     FinDimRealization,
     PrincipalSeriesRealization,
     UnexpectedEigenvalueError,
+    casimir_band,
     casimir_matrix,
     casimir_on_symmetric_power,
     casimir_report,
@@ -158,3 +160,84 @@ def test_report_and_verdict_dicts():
 @settings(max_examples=25, deadline=None)
 def test_verify_tensor_property(lam, eps, m):
     assert verify_tensor(lam, eps, m).passed
+
+
+def _band_rows(band):
+    n = len(band.diag)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = band.diag[i]
+        if i + 1 < n:
+            rows[i][i + 1] = band.upper[i]
+            rows[i + 1][i] = band.lower[i]
+    return rows
+
+
+def _dense_spectrum(mat, candidates):
+    mint, scale = clear_denominators(mat, extra=candidates)
+    remaining = char_poly(mint)
+    eigen = []
+    for c in candidates:
+        cs = int(c * scale)
+        mult, remaining = root_multiplicity(remaining, cs)
+        if mult:
+            eigen.append((c, mult, jordan_block_sizes(mint, cs, mult)))
+    assert len(remaining) == 1
+    return tuple(eigen)
+
+
+@st.composite
+def _weight_cases(draw):
+    """(lam, eps, m, k) over the default window; a third are reducible integral lam."""
+    m = draw(st.integers(min_value=0, max_value=8))
+    if draw(st.integers(min_value=0, max_value=2)) == 0:
+        lam = Fraction(draw(st.integers(min_value=-6, max_value=6)))
+        eps = (lam.numerator + 1) % 2
+    else:
+        q = draw(st.sampled_from((1, 2, 3, 5)))
+        lam = Fraction(draw(st.integers(min_value=-30, max_value=30)), q)
+        eps = draw(st.integers(min_value=0, max_value=1))
+    lo, hi = default_window(lam, eps, m)
+    k = lo + 2 * draw(st.integers(min_value=0, max_value=(hi - lo) // 2))
+    return lam, eps, m, k
+
+
+@given(_weight_cases())
+@settings(max_examples=150, deadline=None)
+def test_banded_oracle_matches_dense_reference(case):
+    lam, eps, m, k = case
+    band = casimir_band(lam, eps, m, k)
+    mat = casimir_matrix(PrincipalSeriesRealization(lam, eps), FinDimRealization(m), k)
+    assert _band_rows(band) == [[x * band.scale for x in row] for row in mat]
+    candidates = sorted({(lam + m - 2 * j) ** 2 for j in range(m + 1)})
+    ws = _weight_spectrum(k, band, candidates)
+    assert ws.eigenvalues == _dense_spectrum(mat, candidates)
+
+
+def test_banded_oracle_takes_both_jordan_paths():
+    # lam = 1/2 is generic: every weight space is unreduced tridiagonal
+    band = casimir_band(Fraction(1, 2), 0, 4, 0)
+    assert all(u * l for u, l in zip(band.upper, band.lower))
+    # I(1, 0) is reducible: both ladder zeros fall inside the k = 0 space of V(2)
+    band = casimir_band(1, 0, 2, 0)
+    assert not all(u * l for u, l in zip(band.upper, band.lower))
+    candidates = sorted({(1 + 2 - 2 * j) ** 2 for j in range(3)})
+    ws = _weight_spectrum(0, band, candidates)
+    assert ws.eigenvalues == _dense_spectrum(_band_rows(band), candidates)
+
+
+def test_casimir_band_requires_a_vector():
+    with pytest.raises(ValueError):
+        casimir_band(Fraction(1, 2), 0, 1, 2)
+
+
+def test_casimir_report_refuses_a_window_without_weights():
+    with pytest.raises(ValueError):
+        casimir_report(Fraction(1, 2), 0, 1, (2, 2))
+    with pytest.raises(ValueError):
+        verify_tensor(Fraction(1, 2), 0, 1, (2, 2))
+
+
+def test_verify_tensor_large_highest_weights():
+    assert verify_tensor(Fraction(7, 5), 0, 48).passed
+    assert verify_tensor(3, 0, 32).passed
