@@ -7,6 +7,8 @@ tensor-submodules, and an independent matrix oracle cross-checking every
 closed-form answer.
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     ASCone,
     DiscreteSeries,
@@ -57,7 +59,6 @@ from .tensor import (
     ps_structure,
     ps_tensor,
     series_semisimplification,
-    structure_semisimplification,
     summand_semisimplification,
     tensor_with_finite,
     weyl_signed_tensor,
@@ -105,92 +106,6 @@ from .cli import main
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ASCone",
-    "ANTIHOL_POINT",
-    "CasimirReport",
-    "ClassPoint",
-    "DiscreteSeries",
-    "FD_POINT",
-    "FinDim",
-    "FinDimRealization",
-    "HOL_POINT",
-    "InfChar",
-    "Irr",
-    "IrreducibleClass",
-    "KTypeFunction",
-    "LengthTwo",
-    "PosetOps",
-    "PrincipalIrr",
-    "PrincipalSeriesRealization",
-    "PsIrreducible",
-    "PsNegativeInt",
-    "PsPositiveInt",
-    "PsSplitLimit",
-    "ReducibleSeries",
-    "Scalar",
-    "SeriesStructure",
-    "Summand",
-    "UnexpectedEigenvalueError",
-    "VerificationVerdict",
-    "VirtualModule",
-    "as_cone",
-    "as_cone_module",
-    "as_scalar",
-    "block_parameter",
-    "casimir_matrix",
-    "casimir_on_symmetric_power",
-    "casimir_report",
-    "casimir_value",
-    "class_closure",
-    "class_sort_key",
-    "classify_irreducible",
-    "clebsch_gordan",
-    "closure",
-    "cover_edges",
-    "decomposition_semisimplification",
-    "decomposition_to_dict",
-    "default_window",
-    "display_sort_key",
-    "ds_tensor",
-    "enumerate_submodule_sets",
-    "format_class",
-    "format_point",
-    "format_point_set",
-    "format_scalar",
-    "format_series_block",
-    "format_summand",
-    "format_virtual_module",
-    "generated_submodule",
-    "grothendieck_tensor",
-    "inf_char",
-    "irreducible_closed_sets",
-    "is_integer",
-    "is_valid_submodule_set",
-    "ktype_conservation_holds",
-    "ktype_function",
-    "main",
-    "module_ktype_function",
-    "orbit_label",
-    "parse_class",
-    "point_sort_key",
-    "primary_split",
-    "principal_is_irreducible",
-    "principal_iso_equal",
-    "ps_class_equal",
-    "ps_class_point",
-    "ps_structure",
-    "ps_tensor",
-    "reduce_to_base",
-    "reducibility_points",
-    "report_to_dict",
-    "series_semisimplification",
-    "specialization_edges",
-    "structure_semisimplification",
-    "sub_poset_ops",
-    "summand_semisimplification",
-    "tensor_with_finite",
-    "verdict_to_dict",
-    "verify_tensor",
-    "weyl_signed_tensor",
-]
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

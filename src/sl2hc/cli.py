@@ -2,9 +2,11 @@
 
 Every command reads flags only, writes to stdout, and is deterministic:
 identical inputs give byte-identical output.  Exit codes: 0 success, 2 bad
-arguments (argparse reports which one), 3 a verification that ran and
-failed.  ``--format json`` wraps each payload with ``schema_version``;
-``--format dot`` is only meaningful for ``lattice``.
+arguments (one stderr line says which), 3 a verification that ran and
+failed or met an eigenvalue outside its candidate set.  ``--format json``
+wraps each payload with ``schema_version``; ``--format dot`` is only
+meaningful for ``lattice``.  ``main`` alone turns payloads into output and
+errors into exit codes.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .lattice import (
     cover_edges,
     enumerate_submodule_sets,
     format_point,
-    format_point_set,
     generated_submodule,
     irreducible_closed_sets,
     orbit_label,
@@ -42,12 +43,8 @@ from .lattice import (
     FD_POINT,
     HOL_POINT,
 )
-from .oracle import verify_tensor, verdict_to_dict
+from .oracle import UnexpectedEigenvalueError, verdict_to_dict, verify_tensor
 from .tensor import (
-    PsIrreducible,
-    PsNegativeInt,
-    PsPositiveInt,
-    PsSplitLimit,
     clebsch_gordan,
     decomposition_to_dict,
     format_summand,
@@ -95,21 +92,11 @@ def _class_arg(text: str) -> IrreducibleClass:
 
 
 def _scalar_list_arg(text: str) -> tuple:
-    try:
-        return tuple(as_scalar(tok.strip()) for tok in text.split(",") if tok.strip())
-    except ZeroDivisionError:
-        raise argparse.ArgumentTypeError(f"cannot parse rational list {text!r}")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    return tuple(_scalar_arg(tok.strip()) for tok in text.split(",") if tok.strip())
 
 
 def _int_list_arg(text: str) -> tuple:
-    try:
-        return tuple(_nonneg_int_arg(tok.strip()) for tok in text.split(",") if tok.strip())
-    except argparse.ArgumentTypeError:
-        raise
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    return tuple(_nonneg_int_arg(tok.strip()) for tok in text.split(",") if tok.strip())
 
 
 # --- shared renderers -----------------------------------------------------------
@@ -120,153 +107,112 @@ def _module_to_dict(x: VirtualModule) -> dict:
     return {format_class(cls): mult for cls, mult in pairs}
 
 
-def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2))
+def _line(render, *args):
+    """One line of text, rendered only when the lines are iterated."""
+    yield render(*args)
 
 
-def _window_text(window: tuple) -> str:
-    return f"[{window[0]},{window[1]}]"
+def _braces(names: list) -> str:
+    return "{" + ", ".join(names) + "}"
 
 
 def _spectrum_text(pairs) -> str:
     return ", ".join(f"{format_scalar(v)}:{m}" for v, m in pairs)
 
 
+def _verify_line(verdict) -> str:
+    if verdict.passed:
+        return f"PASS (k in [{verdict.window[0]},{verdict.window[1]}]: spectra match)"
+    e = verdict.first_mismatch()
+    observed = _spectrum_text((v, mult) for v, mult, _ in e.observed)
+    predicted = _spectrum_text(e.predicted)
+    return f"FAIL (k={e.k}: predicted {predicted}; observed {observed})"
+
+
 # --- commands -------------------------------------------------------------------
+#
+# Each command computes its result once and returns (payload, text lines).
+# The lines are a generator, so a JSON run never renders them.
 
 
-def _cmd_cg(args) -> int:
+def _cmd_cg(args):
     product = clebsch_gordan(args.m1, args.m2)
-    if args.format == "text":
-        print(format_virtual_module(product))
-    else:
-        _emit({"command": "cg", "m1": args.m1, "m2": args.m2, "module": _module_to_dict(product)}, args.format)
-    return 0
+    payload = {"command": "cg", "m1": args.m1, "m2": args.m2, "module": _module_to_dict(product)}
+    return payload, _line(format_virtual_module, product)
 
 
-def _series_layers(structure) -> tuple:
-    """(kind, layers socle-to-top, split) for a composition series structure."""
-    if isinstance(structure, PsIrreducible):
-        return ("irreducible", [[structure.factor]], True)
-    if isinstance(structure, PsSplitLimit):
-        return ("split_limit", [[structure.plus, structure.minus]], True)
-    if isinstance(structure, PsPositiveInt):
-        return ("positive_int", [[structure.sub_plus, structure.sub_minus], [structure.quotient]], False)
-    if isinstance(structure, PsNegativeInt):
-        return ("negative_int", [[structure.sub], [structure.quot_plus, structure.quot_minus]], False)
-    raise TypeError(f"unknown series structure {structure!r}")
-
-
-def _cmd_series(args) -> int:
+def _cmd_series(args):
     structure = ps_structure(args.lam, args.eps)
-    kind, layers, split = _series_layers(structure)
-    if args.format == "text":
-        if kind == "irreducible":
-            print(f"{format_class(layers[0][0])}  [irreducible]")
-        elif kind == "split_limit":
-            plus, minus = layers[0]
-            print(f"{format_class(plus)} (+) {format_class(minus)}  [split]")
-        else:
-            total = f"I({format_scalar(args.lam)},{args.eps})"
-            rendered = [" (+) ".join(format_class(c) for c in layer) for layer in layers]
-            print(f"0 -> {rendered[0]} -> {total} -> {rendered[1]} -> 0  [non-split]")
+    payload = {
+        "command": "series",
+        "lambda": format_scalar(args.lam),
+        "eps": args.eps,
+        "kind": structure.kind,
+        "split": structure.split,
+        "layers": [[format_class(c) for c in layer] for layer in structure.layers],
+    }
+    return payload, _series_lines(payload)
+
+
+def _series_lines(p: dict):
+    socle, *top = (" (+) ".join(layer) for layer in p["layers"])
+    if top:
+        yield f"0 -> {socle} -> I({p['lambda']},{p['eps']}) -> {top[0]} -> 0  [non-split]"
     else:
-        _emit(
-            {
-                "command": "series",
-                "lambda": format_scalar(args.lam),
-                "eps": args.eps,
-                "kind": kind,
-                "split": split,
-                "layers": [[format_class(c) for c in layer] for layer in layers],
-            },
-            args.format,
-        )
-    return 0
+        yield f"{socle}  [{'irreducible' if p['kind'] == 'irreducible' else 'split'}]"
 
 
-def _cmd_tensor(args) -> int:
+def _cmd_tensor(args):
     cls = args.cls
+    payload = {"command": "tensor", "class": format_class(cls), "m": args.m}
     if isinstance(cls, PrincipalIrr):
         summands = ps_tensor(cls.lam, cls.eps, args.m)
-        if args.format == "text":
-            print(" (+) ".join(format_summand(s) for s in summands))
-        else:
-            _emit(
-                {"command": "tensor", "class": format_class(cls), "m": args.m, **decomposition_to_dict(summands)},
-                args.format,
-            )
-        return 0
+        payload.update(decomposition_to_dict(summands))
+        return payload, _line(" (+) ".join, map(format_summand, summands))
     product = tensor_with_finite(cls, args.m)
-    if args.format == "text":
-        print(format_virtual_module(product))
-    else:
-        _emit(
-            {"command": "tensor", "class": format_class(cls), "m": args.m, "module": _module_to_dict(product)},
-            args.format,
-        )
-    return 0
+    payload["module"] = _module_to_dict(product)
+    return payload, _line(format_virtual_module, product)
 
 
-def _cmd_ktypes(args) -> int:
-    lo, hi = args.window
-    if lo > hi:
-        print("argument --window: lower bound exceeds upper bound", file=sys.stderr)
-        return 2
+def _cmd_ktypes(args):
     f = ktype_function(args.cls)
-    if args.format == "text":
-        print(f"parity {f.parity}, tail_left {f.tail_left}, tail_right {f.tail_right}")
-        for k, mult in f.table(lo, hi).items():
-            print(f"k={k}: {mult}")
-    else:
-        _emit(
-            {
-                "command": "ktypes",
-                "class": format_class(args.cls),
-                "parity": f.parity,
-                "tail_left": f.tail_left,
-                "tail_right": f.tail_right,
-                "window": [lo, hi],
-                "table": [[k, mult] for k, mult in f.table(lo, hi).items()],
-            },
-            args.format,
-        )
-    return 0
+    payload = {
+        "command": "ktypes",
+        "class": format_class(args.cls),
+        "parity": f.parity,
+        "tail_left": f.tail_left,
+        "tail_right": f.tail_right,
+        "window": list(args.window),
+        "table": [[k, mult] for k, mult in f.table(*args.window).items()],
+    }
+    return payload, _ktypes_lines(payload)
 
 
-def _cmd_generate(args) -> int:
-    generators = [VirtualModule.of(cls) for cls in args.classes]
-    points = generated_submodule(generators)
-    if args.format == "text":
-        print(format_point_set(points))
-    else:
-        _emit(
-            {
-                "command": "generate",
-                "generators": [format_class(c) for c in args.classes],
-                "points": [format_point(p) for p in sorted(points, key=point_sort_key)],
-            },
-            args.format,
-        )
-    return 0
+def _ktypes_lines(p: dict):
+    yield f"parity {p['parity']}, tail_left {p['tail_left']}, tail_right {p['tail_right']}"
+    for k, mult in p["table"]:
+        yield f"k={k}: {mult}"
 
 
-def _cmd_classify(args) -> int:
+def _cmd_generate(args):
+    points = generated_submodule([VirtualModule.of(cls) for cls in args.classes])
+    payload = {
+        "command": "generate",
+        "generators": [format_class(c) for c in args.classes],
+        "points": [format_point(p) for p in sorted(points, key=point_sort_key)],
+    }
+    return payload, _line(_braces, payload["points"])
+
+
+def _cmd_classify(args):
     closure_set, index = classify_irreducible(args.cls)
-    if args.format == "text":
-        print(f"closure {format_point_set(closure_set)}, index {format_scalar(index)}")
-    else:
-        _emit(
-            {
-                "command": "classify",
-                "class": format_class(args.cls),
-                "closure": [format_point(p) for p in sorted(closure_set, key=point_sort_key)],
-                "index": format_scalar(index),
-            },
-            args.format,
-        )
-    return 0
+    payload = {
+        "command": "classify",
+        "class": format_class(args.cls),
+        "closure": [format_point(p) for p in sorted(closure_set, key=point_sort_key)],
+        "index": format_scalar(index),
+    }
+    return payload, _line("closure {}, index {}".format, _braces(payload["closure"]), payload["index"])
 
 
 def _lattice_points(lambda_keys: tuple) -> list:
@@ -276,116 +222,97 @@ def _lattice_points(lambda_keys: tuple) -> list:
     return sorted(points, key=point_sort_key)
 
 
-def _cmd_lattice(args) -> int:
+def _cmd_lattice(args):
     points = _lattice_points(args.lambda_keys)
     sets = enumerate_submodule_sets(points)
     covers = cover_edges(sets)
     specs = specialization_edges(points)
-    if args.format == "text":
-        print("points:")
-        for p in points:
-            print(f"  {format_point(p)}: {orbit_label(p)}")
-        print("sets:")
-        for i, s in enumerate(sets):
-            print(f"  {i}: {format_point_set(s)}")
-        print("covers:")
-        for i, j in covers:
-            print(f"  {i} -> {j}")
-        print("specializations:")
-        for p, q in specs:
-            print(f"  {format_point(p)} -> {format_point(q)}")
-    elif args.format == "json":
-        _emit(
-            {
-                "command": "lattice",
-                "points": [{"point": format_point(p), "orbit": orbit_label(p)} for p in points],
-                "sets": [[format_point(p) for p in sorted(s, key=point_sort_key)] for s in sets],
-                "covers": [[i, j] for i, j in covers],
-                "specializations": [[format_point(p), format_point(q)] for p, q in specs],
-            },
-            args.format,
-        )
-    else:
-        lines = ["digraph class_lattice {", "  rankdir=BT;"]
-        lines.append("  subgraph cluster_points {")
-        lines.append('    label="class points (specialization order)";')
-        index = {p: i for i, p in enumerate(points)}
-        for p in points:
-            lines.append(f'    p{index[p]} [label="{format_point(p)}\\n{orbit_label(p)}"];')
-        for p, q in specs:
-            lines.append(f"    p{index[p]} -> p{index[q]};")
-        lines.append("  }")
-        lines.append("  subgraph cluster_sets {")
-        lines.append('    label="submodule lattice (covers)";')
-        for i, s in enumerate(sets):
-            lines.append(f'    s{i} [label="{format_point_set(s)}"];')
-        for i, j in covers:
-            lines.append(f"    s{i} -> s{j};")
-        lines.append("  }")
-        lines.append("}")
-        print("\n".join(lines))
-    return 0
+    payload = {
+        "command": "lattice",
+        "points": [{"point": format_point(p), "orbit": orbit_label(p)} for p in points],
+        "sets": [[format_point(p) for p in sorted(s, key=point_sort_key)] for s in sets],
+        "covers": [[i, j] for i, j in covers],
+        "specializations": [[format_point(p), format_point(q)] for p, q in specs],
+    }
+    render = _lattice_dot if args.format == "dot" else _lattice_text
+    return payload, render(payload)
 
 
-def _verify_line(verdict) -> str:
-    window = _window_text(verdict.window)
-    if verdict.passed:
-        return f"PASS (k in {window}: spectra match)"
-    e = verdict.first_mismatch()
-    observed = _spectrum_text((v, mult) for v, mult, _ in e.observed)
-    predicted = _spectrum_text(e.predicted)
-    return f"FAIL (k={e.k}: predicted {predicted}; observed {observed})"
+def _lattice_text(p: dict):
+    yield "points:"
+    for point in p["points"]:
+        yield f"  {point['point']}: {point['orbit']}"
+    yield "sets:"
+    for i, names in enumerate(p["sets"]):
+        yield f"  {i}: {_braces(names)}"
+    yield "covers:"
+    for i, j in p["covers"]:
+        yield f"  {i} -> {j}"
+    yield "specializations:"
+    for a, b in p["specializations"]:
+        yield f"  {a} -> {b}"
 
 
-def _cmd_verify(args) -> int:
-    window = tuple(args.window) if args.window else None
-    if window and window[0] > window[1]:
-        print("argument --window: lower bound exceeds upper bound", file=sys.stderr)
-        return 2
-    try:
-        verdict = verify_tensor(args.lam, args.eps, args.m, window)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    if args.format == "text":
-        print(_verify_line(verdict))
-    else:
-        _emit({"command": "verify", **verdict_to_dict(verdict)}, args.format)
-    return 0 if verdict.passed else 3
+def _lattice_dot(p: dict):
+    yield "digraph class_lattice {"
+    yield "  rankdir=BT;"
+    yield "  subgraph cluster_points {"
+    yield '    label="class points (specialization order)";'
+    index = {}
+    for i, point in enumerate(p["points"]):
+        index[point["point"]] = i
+        yield f'    p{i} [label="{point["point"]}\\n{point["orbit"]}"];'
+    for a, b in p["specializations"]:
+        yield f"    p{index[a]} -> p{index[b]};"
+    yield "  }"
+    yield "  subgraph cluster_sets {"
+    yield '    label="submodule lattice (covers)";'
+    for i, names in enumerate(p["sets"]):
+        yield f'    s{i} [label="{_braces(names)}"];'
+    for i, j in p["covers"]:
+        yield f"    s{i} -> s{j};"
+    yield "  }"
+    yield "}"
 
 
-def _cmd_sweep(args) -> int:
-    combos = sorted((lam, eps, m) for lam in set(args.lambdas) for eps in (0, 1) for m in args.ms)
+def _cmd_verify(args):
+    verdict = verify_tensor(args.lam, args.eps, args.m, tuple(args.window) if args.window else None)
+    return {"command": "verify", **verdict_to_dict(verdict)}, _line(_verify_line, verdict)
+
+
+def _cmd_sweep(args):
+    for flag, values in (("--lambdas", args.lambdas), ("--ms", args.ms)):
+        if not values:
+            raise ValueError(f"argument {flag}: expected at least one value")
+    combos = sorted((lam, eps, m) for lam in set(args.lambdas) for eps in (0, 1) for m in set(args.ms))
     verdicts = [(combo, verify_tensor(*combo)) for combo in combos]
     failures = sum(1 for _, v in verdicts if not v.passed)
-    if args.format == "text":
-        for (lam, eps, m), v in verdicts:
-            print(f"lam={format_scalar(lam)} eps={eps} m={m}: {_verify_line(v)}")
-        if failures:
-            print(f"SWEEP FAIL ({failures} of {len(verdicts)} verifications failed)")
-        else:
-            print(f"SWEEP PASS ({len(verdicts)} verifications)")
-    else:
-        _emit(
+    payload = {
+        "command": "sweep",
+        "results": [
             {
-                "command": "sweep",
-                "results": [
-                    {
-                        "lambda": format_scalar(lam),
-                        "eps": eps,
-                        "m": m,
-                        "window": list(v.window),
-                        "verdict": "PASS" if v.passed else "FAIL",
-                    }
-                    for (lam, eps, m), v in verdicts
-                ],
-                "count": len(verdicts),
-                "failures": failures,
-                "passed": failures == 0,
-            },
-            args.format,
-        )
-    return 0 if failures == 0 else 3
+                "lambda": format_scalar(lam),
+                "eps": eps,
+                "m": m,
+                "window": list(v.window),
+                "verdict": "PASS" if v.passed else "FAIL",
+            }
+            for (lam, eps, m), v in verdicts
+        ],
+        "count": len(verdicts),
+        "failures": failures,
+        "passed": failures == 0,
+    }
+    return payload, _sweep_lines(verdicts, failures)
+
+
+def _sweep_lines(verdicts: list, failures: int):
+    for (lam, eps, m), v in verdicts:
+        yield f"lam={format_scalar(lam)} eps={eps} m={m}: {_verify_line(v)}"
+    if failures:
+        yield f"SWEEP FAIL ({failures} of {len(verdicts)} verifications failed)"
+    else:
+        yield f"SWEEP PASS ({len(verdicts)} verifications)"
 
 
 # --- parser ---------------------------------------------------------------------
@@ -462,10 +389,25 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.format == "dot" and args.command != "lattice":
-        print("argument --format: dot output is only supported for the lattice command", file=sys.stderr)
+    try:
+        if args.format == "dot" and args.command != "lattice":
+            raise ValueError("argument --format: dot output is only supported for the lattice command")
+        window = getattr(args, "window", None)
+        if window and window[0] > window[1]:
+            raise ValueError("argument --window: lower bound exceeds upper bound")
+        payload, lines = args.func(args)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    return args.func(args)
+    except UnexpectedEigenvalueError as exc:
+        print(f"FAIL ({exc})", file=sys.stderr)
+        return 3
+    if args.format == "json":
+        print(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2))
+    else:
+        for line in lines:
+            print(line)
+    return 3 if payload.get("verdict") == "FAIL" or payload.get("passed") is False else 0
 
 
 if __name__ == "__main__":

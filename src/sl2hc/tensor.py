@@ -34,42 +34,55 @@ from .core import (
 # --- composition structure of a principal series ----------------------------
 
 
+# The four shapes are told apart by their layer sizes alone.
+_KINDS = {(1,): "irreducible", (2,): "split_limit", (2, 1): "positive_int", (1, 2): "negative_int"}
+
+
 @dataclass(frozen=True)
-class PsIrreducible:
+class SeriesStructure:
+    """Composition series of a principal series, socle to top.
+
+    ``layers[0]`` is the socle; each layer is a tuple of irreducible classes.
+    A single layer means the series is semisimple: irreducible, or the split
+    sum of the two limits of discrete series.
+    """
+
+    layers: tuple
+
+    @property
+    def split(self) -> bool:
+        return len(self.layers) == 1
+
+    @property
+    def kind(self) -> str:
+        return _KINDS[tuple(map(len, self.layers))]
+
+    @property
+    def factors(self) -> tuple:
+        """Composition factors, socle first."""
+        return tuple(cls for layer in self.layers for cls in layer)
+
+
+def PsIrreducible(factor: PrincipalIrr) -> SeriesStructure:
     """Irreducible principal series; the structure is the module itself."""
+    return SeriesStructure(((factor,),))
 
-    factor: PrincipalIrr
 
-
-@dataclass(frozen=True)
-class PsSplitLimit:
+def PsSplitLimit(plus: DiscreteSeries, minus: DiscreteSeries) -> SeriesStructure:
     """Parameter 0 with odd parity: direct sum of the two limits of discrete series."""
-
-    plus: DiscreteSeries
-    minus: DiscreteSeries
+    return SeriesStructure(((plus, minus),))
 
 
-@dataclass(frozen=True)
-class PsPositiveInt:
+def PsPositiveInt(sub_plus: DiscreteSeries, sub_minus: DiscreteSeries, quotient: FinDim) -> SeriesStructure:
     """Positive integral reducible parameter: discrete series pair below,
     finite-dimensional quotient above (non-split)."""
-
-    sub_plus: DiscreteSeries
-    sub_minus: DiscreteSeries
-    quotient: FinDim
+    return SeriesStructure(((sub_plus, sub_minus), (quotient,)))
 
 
-@dataclass(frozen=True)
-class PsNegativeInt:
+def PsNegativeInt(sub: FinDim, quot_plus: DiscreteSeries, quot_minus: DiscreteSeries) -> SeriesStructure:
     """Negative integral reducible parameter: finite-dimensional submodule below,
     discrete series pair above (non-split)."""
-
-    sub: FinDim
-    quot_plus: DiscreteSeries
-    quot_minus: DiscreteSeries
-
-
-SeriesStructure = Union[PsIrreducible, PsSplitLimit, PsPositiveInt, PsNegativeInt]
+    return SeriesStructure(((sub,), (quot_plus, quot_minus)))
 
 
 def ps_structure(lam: Scalar, eps: int) -> SeriesStructure:
@@ -86,21 +99,9 @@ def ps_structure(lam: Scalar, eps: int) -> SeriesStructure:
     return PsNegativeInt(FinDim(-n - 1), DiscreteSeries(1, -n), DiscreteSeries(-1, -n))
 
 
-def structure_semisimplification(s: SeriesStructure) -> VirtualModule:
-    if isinstance(s, PsIrreducible):
-        return VirtualModule.of(s.factor)
-    if isinstance(s, PsSplitLimit):
-        return VirtualModule.of(s.plus, s.minus)
-    if isinstance(s, PsPositiveInt):
-        return VirtualModule.of(s.sub_plus, s.sub_minus, s.quotient)
-    if isinstance(s, PsNegativeInt):
-        return VirtualModule.of(s.sub, s.quot_plus, s.quot_minus)
-    raise TypeError(f"not a series structure: {s!r}")
-
-
 def series_semisimplification(lam: Scalar, eps: int) -> VirtualModule:
     """Composition factors (with multiplicity) of the principal series (lam, eps)."""
-    return structure_semisimplification(ps_structure(lam, eps))
+    return VirtualModule.of(*ps_structure(lam, eps).factors)
 
 
 # --- summands of a principal series tensor ----------------------------------
@@ -163,10 +164,9 @@ def block_parameter(b: SeriesBlock) -> Fraction:
     raise TypeError(f"not a principal series block: {b!r}")
 
 
-def _block_semisimplification(b: SeriesBlock) -> VirtualModule:
-    if isinstance(b, PrincipalIrr):
-        return VirtualModule.of(b)
-    return series_semisimplification(b.lam, b.eps)
+def _block_factors(b: SeriesBlock) -> tuple:
+    """Composition factors of a block, socle first; an irreducible block is its own factor."""
+    return (b,) if isinstance(b, PrincipalIrr) else ps_structure(b.lam, b.eps).factors
 
 
 def format_series_block(b: SeriesBlock) -> str:
@@ -185,17 +185,10 @@ def format_summand(s: Summand) -> str:
 
 def summand_semisimplification(s: Summand) -> VirtualModule:
     if isinstance(s, Irr):
-        return _block_semisimplification(s.factor)
+        return VirtualModule.of(*_block_factors(s.factor))
     if isinstance(s, LengthTwo):
-        return _block_semisimplification(s.sub) + _block_semisimplification(s.quot)
+        return VirtualModule.of(*_block_factors(s.sub), *_block_factors(s.quot))
     raise TypeError(f"not a summand: {s!r}")
-
-
-def summand_inf_chars(s: Summand) -> frozenset:
-    """Infinitesimal characters present in a summand (canonical nonnegative reps)."""
-    if isinstance(s, Irr):
-        return frozenset({abs(block_parameter(s.factor))})
-    return frozenset({abs(block_parameter(s.sub)), abs(block_parameter(s.quot))})
 
 
 def decomposition_semisimplification(summands: list) -> VirtualModule:
@@ -212,14 +205,14 @@ def decomposition_to_dict(summands: list) -> dict:
         if isinstance(s, Irr):
             entry = {
                 "kind": "irr",
-                "classes": _block_class_strings(s.factor),
+                "classes": [format_class(c) for c in _block_factors(s.factor)],
             }
             if isinstance(s.factor, ReducibleSeries):
                 entry["series"] = [format_series_block(s.factor)]
         else:
             entry = {
                 "kind": "len2",
-                "classes": _block_class_strings(s.sub) + _block_class_strings(s.quot),
+                "classes": [format_class(c) for c in _block_factors(s.sub) + _block_factors(s.quot)],
             }
             if isinstance(s.sub, ReducibleSeries):
                 entry["series"] = [format_series_block(s.sub), format_series_block(s.quot)]
@@ -229,20 +222,6 @@ def decomposition_to_dict(summands: list) -> dict:
         "summands": rendered,
         "semisimplification": {format_class(c): n for c, n in ss.items()},
     }
-
-
-def _block_class_strings(b: SeriesBlock) -> list:
-    if isinstance(b, PrincipalIrr):
-        return [format_class(b)]
-    s = ps_structure(b.lam, b.eps)
-    if isinstance(s, PsSplitLimit):
-        factors: tuple = (s.plus, s.minus)
-    elif isinstance(s, PsPositiveInt):
-        factors = (s.sub_plus, s.sub_minus, s.quotient)
-    else:
-        assert isinstance(s, PsNegativeInt)
-        factors = (s.sub, s.quot_plus, s.quot_minus)
-    return [format_class(c) for c in factors]
 
 
 # --- finite-dimensional tensor products --------------------------------------

@@ -1,10 +1,14 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
 
 import sl2hc.cli as cli
 from sl2hc.cli import main
 from sl2hc.core import parse_class
-from sl2hc.oracle import VerificationVerdict, VerifyEntry
+from sl2hc.oracle import UnexpectedEigenvalueError, VerificationVerdict, VerifyEntry
 
 
 def run(capsys, *argv):
@@ -214,3 +218,108 @@ def test_exit_2_on_bad_arguments(capsys):
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "cg", "--help")[0] == 0
+
+
+def test_unexpected_eigenvalue_exits_3(capsys, monkeypatch):
+    message = "unexpected eigenvalue at K-weight 3: char poly factor [1, -7] has no roots among the candidates"
+
+    def raise_unexpected(*args, **kwargs):
+        raise UnexpectedEigenvalueError(message)
+
+    monkeypatch.setattr(cli, "verify_tensor", raise_unexpected)
+    for argv in (
+        ("verify", "1/2", "0", "0"),
+        ("--format", "json", "verify", "1/2", "0", "0"),
+        ("sweep", "--lambdas", "1/2", "--ms", "0"),
+        ("--format", "json", "sweep", "--lambdas", "1/2", "--ms", "0"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert len(err.splitlines()) == 1 and "K-weight 3" in err and "[1, -7]" in err
+        assert "Traceback" not in err
+
+
+def test_sweep_refuses_empty_lists(capsys):
+    for fmt in ("text", "json"):
+        for flags, named in (
+            (("--lambdas=", "--ms=0"), "--lambdas"),
+            (("--lambdas=1/2", "--ms="), "--ms"),
+            (("--lambdas", ",", "--ms", ","), "--lambdas"),
+        ):
+            code, out, err = run(capsys, "--format", fmt, "sweep", *flags)
+            assert (code, out) == (2, ""), flags
+            assert len(err.splitlines()) == 1 and named in err
+
+
+def test_sweep_deduplicates_ms(capsys):
+    once = run(capsys, "sweep", "--lambdas=1", "--ms=0")
+    assert once[0] == 0 and once[1].endswith("SWEEP PASS (2 verifications)\n")
+    assert run(capsys, "sweep", "--lambdas=1", "--ms=0,0") == once
+    assert run(capsys, "--format", "json", "sweep", "--lambdas=1,1", "--ms=0,0") == run(
+        capsys, "--format", "json", "sweep", "--lambdas=1", "--ms=0"
+    )
+
+
+# --- the CLI grammar, including bad tokens and edge windows ---------------------------
+
+def _token(good: tuple, bad: tuple) -> st.SearchStrategy:
+    """A good token three times in four, else a bad one."""
+    return st.integers(0, 3).flatmap(lambda i: st.sampled_from(bad if i == 0 else good))
+
+
+_LAMBDA = _token(("0", "1", "-2", "1/2", "-7/3", "5/2"), ("1/0", "x"))
+_PARITY = _token(("0", "1"), ("2", "x"))
+_M = _token(("0", "1", "2"), ("-1", "x", "1/0"))
+_CLASS = _token(("V(0)", "V(2)", "D+(1)", "D-(0)", "I(1/2,0)", "I(0,0)"), ("I(0,1)", "V(-1)", "1/0", "x"))
+
+
+@st.composite
+def _window(draw) -> list:
+    """Width at most 12; reversed (hi < lo) and weight-free windows included."""
+    lo = draw(st.integers(-8, 8))
+    return ["--window", str(lo), str(lo + draw(st.integers(-3, 12)))]
+
+
+def _token_list(token: st.SearchStrategy) -> st.SearchStrategy:
+    return st.lists(token, max_size=3).map(",".join)
+
+
+_COMMANDS = {
+    "cg": st.tuples(_M, _M).map(lambda a: ["--", *a]),
+    "series": st.tuples(_LAMBDA, _PARITY).map(lambda a: ["--", *a]),
+    "tensor": st.tuples(_CLASS, _M).map(lambda a: ["--", *a]),
+    "ktypes": st.tuples(_window(), _CLASS).map(lambda a: [*a[0], "--", a[1]]),
+    "generate": st.lists(_CLASS, min_size=1, max_size=3).map(lambda a: ["--", *a]),
+    "classify": _CLASS.map(lambda c: ["--", c]),
+    "lattice": _token_list(_LAMBDA).map(lambda keys: [f"--lambda-keys={keys}"]),
+    "verify": st.tuples(
+        st.one_of(st.just([]), _window()), _LAMBDA, _PARITY, _M
+    ).map(lambda a: [*a[0], "--", *a[1:]]),
+    "sweep": st.tuples(_token_list(_LAMBDA), _token_list(_M)).map(
+        lambda a: [f"--lambdas={a[0]}", f"--ms={a[1]}"]
+    ),
+}
+
+
+@st.composite
+def _cli_argv(draw) -> tuple:
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    fmt = draw(_token(("text", "json"), ("dot",)))
+    return fmt, command, ["--format", fmt, command, *draw(_COMMANDS[command])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cli_argv())
+def test_cli_grammar_exit_codes(case):
+    fmt, command, argv = case
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3), argv
+    if code == 2:
+        assert out == "" and err, argv
+    assert "(0 verifications)" not in out, argv
+    if code == 0 and fmt == "json" and command in ("verify", "sweep"):
+        payload = json.loads(out)
+        assert payload["entries"] if command == "verify" else payload["count"], argv

@@ -21,6 +21,7 @@ from sl2hc.tensor import (
     PsPositiveInt,
     PsSplitLimit,
     ReducibleSeries,
+    SeriesStructure,
     block_parameter,
     clebsch_gordan,
     decomposition_semisimplification,
@@ -324,3 +325,17 @@ def test_decomposition_to_dict_shape():
     # reducible blocks carry the signed series labels alongside their factors
     assert payload["summands"][-1]["series"] == ["I(1,0)", "I(-1,0)"]
     assert payload["summands"][-1]["classes"] == ["D+(1)", "D-(1)", "V(0)", "V(0)", "D+(1)", "D-(1)"]
+
+
+def test_series_structure_layers_kind_and_split():
+    shapes = {
+        (0, 0): ("irreducible", ((I(0, 0),),)),
+        (0, 1): ("split_limit", ((Dp(0), Dm(0)),)),
+        (2, 1): ("positive_int", ((Dp(2), Dm(2)), (V(1),))),
+        (-2, 1): ("negative_int", ((V(1),), (Dp(2), Dm(2)))),
+    }
+    for (lam, eps), (kind, layers) in shapes.items():
+        s = ps_structure(lam, eps)
+        assert (s.kind, s.layers, s.split) == (kind, layers, len(layers) == 1)
+        assert s.factors == tuple(c for layer in layers for c in layer)
+        assert s == SeriesStructure(layers)
