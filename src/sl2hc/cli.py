@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -39,9 +40,6 @@ from .lattice import (
     orbit_label,
     point_sort_key,
     specialization_edges,
-    ANTIHOL_POINT,
-    FD_POINT,
-    HOL_POINT,
 )
 from .oracle import UnexpectedEigenvalueError, verdict_to_dict, verify_tensor
 from .tensor import (
@@ -216,10 +214,7 @@ def _cmd_classify(args):
 
 
 def _lattice_points(lambda_keys: tuple) -> list:
-    points = {FD_POINT, HOL_POINT, ANTIHOL_POINT}
-    for closed in irreducible_closed_sets(lambda_keys)[3:]:
-        points |= closed
-    return sorted(points, key=point_sort_key)
+    return sorted(frozenset().union(*irreducible_closed_sets(lambda_keys)), key=point_sort_key)
 
 
 def _cmd_lattice(args):
@@ -318,8 +313,18 @@ def _sweep_lines(verdicts: list, failures: int):
 # --- parser ---------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every token that starts with '-' and a digit as a value, so that
+    negative rationals such as -7/3 need no '--' (argparse alone accepts only
+    negative integers and decimals).  Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sl2hc",
         description="Exact tensor decompositions and classification for sl(2) Harish-Chandra modules.",
     )

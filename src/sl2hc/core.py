@@ -512,6 +512,8 @@ class ASCone(Enum):
 
 
 def as_cone(x: IrreducibleClass) -> ASCone:
+    """Closed form of ``ascone_from_ktypes(ktype_function(x))``; it skips
+    building the m + 1 explicit K-types of V(m)."""
     if isinstance(x, FinDim):
         return ASCone.ZERO
     if isinstance(x, DiscreteSeries):
@@ -553,10 +555,4 @@ def principal_iso_equal(lam: Fraction, eps: int, lam2: Fraction, eps2: int) -> b
 
     The parameter is determined up to sign; the parity class is an invariant.
     """
-    lam, lam2 = as_scalar(lam), as_scalar(lam2)
-    check_parity(eps)
-    check_parity(eps2)
-    for a, e in ((lam, eps), (lam2, eps2)):
-        if not principal_is_irreducible(a, e):
-            raise ValueError(f"not an irreducible class: I({format_scalar(a)},{e}) is reducible")
-    return eps == eps2 and (lam == lam2 or lam == -lam2)
+    return PrincipalIrr(lam, eps) == PrincipalIrr(lam2, eps2)

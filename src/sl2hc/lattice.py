@@ -26,18 +26,28 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .core import (
-    DiscreteSeries,
-    FinDim,
+    ASCone,
     IrreducibleClass,
     PrincipalIrr,
     Scalar,
     VirtualModule,
+    as_cone,
     as_scalar,
     check_parity,
     format_scalar,
+    inf_char,
     is_integer,
     principal_is_irreducible,
 )
+
+# kind -> (sort rank, name, boundary stratum); a principal series point is
+# named by its parameters instead.
+_KINDS = {
+    "fd": (0, "Fd", "closed orbit P^1(C) (compact form SU(2))"),
+    "hol": (1, "C+", "pole {0}"),
+    "antihol": (2, "C-", "pole {infinity}"),
+    "ps": (3, None, "open orbit C^x"),
+}
 
 
 @dataclass(frozen=True)
@@ -49,12 +59,12 @@ class ClassPoint:
     eps0: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.kind in ("fd", "hol", "antihol"):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown class point kind {self.kind!r}")
+        if self.kind != "ps":
             if self.lam0 is not None or self.eps0 is not None:
                 raise ValueError(f"{self.kind} point carries no parameters")
             return
-        if self.kind != "ps":
-            raise ValueError(f"unknown class point kind {self.kind!r}")
         lam0 = as_scalar(self.lam0)
         if not 0 <= lam0 <= Fraction(1, 2):
             raise ValueError("base parameter must lie in [0, 1/2]")
@@ -73,26 +83,18 @@ FD_POINT = ClassPoint("fd")
 HOL_POINT = ClassPoint("hol")
 ANTIHOL_POINT = ClassPoint("antihol")
 
-_KIND_ORDER = {"fd": 0, "hol": 1, "antihol": 2, "ps": 3}
-
 
 def point_sort_key(p: ClassPoint) -> tuple:
     return (
-        _KIND_ORDER[p.kind],
+        _KINDS[p.kind][0],
         p.lam0 if p.lam0 is not None else Fraction(0),
         p.eps0 if p.eps0 is not None else -1,
     )
 
 
 def format_point(p: ClassPoint) -> str:
-    if p.kind == "fd":
-        return "Fd"
-    if p.kind == "hol":
-        return "C+"
-    if p.kind == "antihol":
-        return "C-"
     eps = "*" if p.eps0 is None else str(p.eps0)
-    return f"Ps({format_scalar(p.lam0)},{eps})"
+    return _KINDS[p.kind][1] or f"Ps({format_scalar(p.lam0)},{eps})"
 
 
 def format_point_set(points: frozenset) -> str:
@@ -101,13 +103,7 @@ def format_point_set(points: frozenset) -> str:
 
 def orbit_label(p: ClassPoint) -> str:
     """Geometric name of the boundary stratum the point corresponds to."""
-    if p.kind == "fd":
-        return "closed orbit P^1(C) (compact form SU(2))"
-    if p.kind == "hol":
-        return "pole {0}"
-    if p.kind == "antihol":
-        return "pole {infinity}"
-    return "open orbit C^x"
+    return _KINDS[p.kind][2]
 
 
 # --- principal series classes --------------------------------------------------
@@ -139,32 +135,30 @@ def ps_class_point(lam: Scalar, eps: int) -> ClassPoint:
 
 def ps_class_equal(lam: Scalar, eps: int, lam2: Scalar, eps2: int) -> bool:
     """Same translation class: parameters linked by an integer shift with the
-    matching parity change, directly or through the parameter sign flip."""
-    lam, lam2 = as_scalar(lam), as_scalar(lam2)
-    check_parity(eps)
-    check_parity(eps2)
-    for a, e in ((lam, eps), (lam2, eps2)):
-        if not principal_is_irreducible(a, e):
-            raise ValueError(f"not an irreducible class: I({format_scalar(a)},{e}) is reducible")
-    diff = lam - lam2
-    if is_integer(diff) and (eps - eps2 - int(diff)) % 2 == 0:
-        return True
-    summ = lam + lam2
-    return is_integer(summ) and (eps - eps2 - int(summ)) % 2 == 0
+    matching parity change, directly or through the parameter sign flip;
+    that is, the same class point."""
+    return ps_class_point(lam, eps) == ps_class_point(lam2, eps2)
 
 
 # --- closures and the submodule lattice ----------------------------------------
 
 
+_CONE_POINTS = {
+    ASCone.ZERO: FD_POINT,
+    ASCone.PLUS_HALF_LINE: HOL_POINT,
+    ASCone.MINUS_HALF_LINE: ANTIHOL_POINT,
+}
+
+
 def class_closure(x: IrreducibleClass) -> frozenset:
-    """Class points generated by tensoring one irreducible with all V(m)."""
-    if isinstance(x, FinDim):
-        return frozenset({FD_POINT})
-    if isinstance(x, DiscreteSeries):
-        return frozenset({FD_POINT, HOL_POINT if x.sign > 0 else ANTIHOL_POINT})
-    if isinstance(x, PrincipalIrr):
-        return frozenset({ps_class_point(x.lam, x.eps)})
-    raise TypeError(f"not an irreducible class: {x!r}")
+    """Class points generated by tensoring one irreducible with all V(m).
+
+    The asymptotic cone of the K-type support names the point; only a full
+    line needs the principal series parameters.
+    """
+    cone = as_cone(x)
+    point = ps_class_point(x.lam, x.eps) if cone is ASCone.FULL_LINE else _CONE_POINTS[cone]
+    return closure({point})
 
 
 def generated_submodule(xs: Iterable[VirtualModule]) -> frozenset:
@@ -179,11 +173,9 @@ def generated_submodule(xs: Iterable[VirtualModule]) -> frozenset:
 
 
 def is_valid_submodule_set(points: Iterable[ClassPoint]) -> bool:
-    """The realizability constraint: discrete series families force Fd."""
+    """The realizability constraint: the set is closed."""
     pts = frozenset(points)
-    if (HOL_POINT in pts or ANTIHOL_POINT in pts) and FD_POINT not in pts:
-        return False
-    return True
+    return closure(pts) == pts
 
 
 def closure(points: Iterable[ClassPoint]) -> frozenset:
@@ -216,24 +208,17 @@ def sub_poset_ops(s: Iterable[ClassPoint], t: Iterable[ClassPoint]) -> PosetOps:
 def irreducible_closed_sets(lambdas: Iterable[Scalar]) -> list:
     """Closures of single class points over the given parameter window.
 
-    Base parameters with 2*lam0 integral give one collapsed point; the rest
-    give one point per parity.
+    Each base parameter gives the points of its irreducible parities (one
+    point when the parity collapses).
     """
-    ps_points = set()
-    for lam in lambdas:
-        lam0 = reduce_to_base(lam)
-        if is_integer(2 * lam0):
-            ps_points.add(ClassPoint("ps", lam0, None))
-        else:
-            ps_points.add(ClassPoint("ps", lam0, 0))
-            ps_points.add(ClassPoint("ps", lam0, 1))
-    out = [
-        frozenset({FD_POINT}),
-        frozenset({FD_POINT, HOL_POINT}),
-        frozenset({FD_POINT, ANTIHOL_POINT}),
-    ]
-    out.extend(frozenset({p}) for p in sorted(ps_points, key=point_sort_key))
-    return out
+    ps_points = {
+        ps_class_point(lam0, e)
+        for lam0 in map(reduce_to_base, lambdas)
+        for e in (0, 1)
+        if principal_is_irreducible(lam0, e)
+    }
+    points = [FD_POINT, HOL_POINT, ANTIHOL_POINT] + sorted(ps_points, key=point_sort_key)
+    return [closure({p}) for p in points]
 
 
 def enumerate_submodule_sets(points: Iterable[ClassPoint]) -> list:
@@ -289,24 +274,15 @@ def classify_irreducible(x: IrreducibleClass) -> tuple:
     The signed shift, unlike the bare distance |j|, separates the two parity
     classes over a collapsed base, keeping the map injective.
     """
-    if isinstance(x, FinDim):
-        return (frozenset({FD_POINT}), Fraction(x.m + 1))
-    if isinstance(x, DiscreteSeries):
-        return (class_closure(x), Fraction(x.l))
-    if isinstance(x, PrincipalIrr):
-        point = ps_class_point(x.lam, x.eps)
-        lam0 = point.lam0
-        eps0 = 0 if point.eps0 is None else point.eps0
-        matches = []
-        for j in (x.lam - lam0, -x.lam - lam0):
-            if not is_integer(j):
-                continue
-            j = int(j)
-            member_lam = lam0 + j
-            member_eps = (eps0 + j) % 2
-            if abs(member_lam) == x.lam and member_eps == x.eps:
-                matches.append(j)
-        if not matches:
-            raise AssertionError("base point failed to reach its own class member")
-        return (frozenset({point}), Fraction(sorted(matches)[-1]))
-    raise TypeError(f"not an irreducible class: {x!r}")
+    if not isinstance(x, PrincipalIrr):
+        return (class_closure(x), inf_char(x).value)
+    point = ps_class_point(x.lam, x.eps)
+    lam0 = point.lam0
+    eps0 = 0 if point.eps0 is None else point.eps0
+    # lam0 + j is +-lam for both candidates; the parity picks the members
+    matches = [
+        j for j in (x.lam - lam0, -x.lam - lam0) if is_integer(j) and (eps0 + j) % 2 == x.eps
+    ]
+    if not matches:
+        raise AssertionError("base point failed to reach its own class member")
+    return (frozenset({point}), max(matches))

@@ -121,9 +121,6 @@ class _SingleSpace:
     def basis_at(self, k: int) -> list:
         return [k] if self.factor.has_weight(k) else []
 
-    def weight_of(self, key) -> int:
-        return key
-
     def apply(self, gen: str, vec: dict) -> dict:
         out: dict = {}
         r = self.factor
@@ -152,9 +149,6 @@ class _TensorSpace:
             for b in range(-self.right.m, self.right.m + 1, 2)
             if self.left.has_weight(k - b)
         ]
-
-    def weight_of(self, key) -> int:
-        return key[0] + key[1]
 
     def apply(self, gen: str, vec: dict) -> dict:
         out: dict = {}
@@ -453,21 +447,23 @@ def verify_tensor(lam: Scalar, eps: int, m: int, window: Optional[tuple] = None)
 # --- serialization helpers ----------------------------------------------------
 
 
+def _spectrum_to_list(eigenvalues: tuple) -> list:
+    return [
+        {"value": format_scalar(v), "mult": mult, "jordan": list(sizes)}
+        for v, mult, sizes in eigenvalues
+    ]
+
+
+def _run_to_dict(x) -> dict:
+    """The parameters and window shared by a report and a verdict."""
+    return {"lambda": format_scalar(x.lam), "eps": x.eps, "m": x.m, "window": list(x.window)}
+
+
 def report_to_dict(r: CasimirReport) -> dict:
     return {
-        "lambda": format_scalar(r.lam),
-        "eps": r.eps,
-        "m": r.m,
-        "window": list(r.window),
+        **_run_to_dict(r),
         "entries": [
-            {
-                "k": ws.k,
-                "dim": ws.dim,
-                "spectrum": [
-                    {"value": format_scalar(v), "mult": mult, "jordan": list(sizes)}
-                    for v, mult, sizes in ws.eigenvalues
-                ],
-            }
+            {"k": ws.k, "dim": ws.dim, "spectrum": _spectrum_to_list(ws.eigenvalues)}
             for ws in r.entries
         ],
     }
@@ -475,18 +471,12 @@ def report_to_dict(r: CasimirReport) -> dict:
 
 def verdict_to_dict(v: VerificationVerdict) -> dict:
     return {
-        "lambda": format_scalar(v.lam),
-        "eps": v.eps,
-        "m": v.m,
-        "window": list(v.window),
+        **_run_to_dict(v),
         "entries": [
             {
                 "k": e.k,
                 "dim": e.dim,
-                "spectrum": [
-                    {"value": format_scalar(val), "mult": mult, "jordan": list(sizes)}
-                    for val, mult, sizes in e.observed
-                ],
+                "spectrum": _spectrum_to_list(e.observed),
                 "predicted": [
                     {"value": format_scalar(val), "mult": mult} for val, mult in e.predicted
                 ],

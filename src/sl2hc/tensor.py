@@ -137,6 +137,11 @@ class Irr:
     """A single principal series occurring as a direct summand."""
 
     factor: SeriesBlock
+    kind = "irr"
+
+    @property
+    def blocks(self) -> tuple:
+        return (self.factor,)
 
 
 @dataclass(frozen=True)
@@ -149,10 +154,15 @@ class LengthTwo:
 
     sub: SeriesBlock
     quot: SeriesBlock
+    kind = "len2"
 
     def __post_init__(self) -> None:
         if abs(block_parameter(self.sub)) != abs(block_parameter(self.quot)):
             raise ValueError("the two layers must share the infinitesimal character")
+
+    @property
+    def blocks(self) -> tuple:
+        return (self.sub, self.quot)
 
 
 Summand = Union[Irr, LengthTwo]
@@ -164,31 +174,22 @@ def block_parameter(b: SeriesBlock) -> Fraction:
     raise TypeError(f"not a principal series block: {b!r}")
 
 
-def _block_factors(b: SeriesBlock) -> tuple:
-    """Composition factors of a block, socle first; an irreducible block is its own factor."""
-    return (b,) if isinstance(b, PrincipalIrr) else ps_structure(b.lam, b.eps).factors
-
-
 def format_series_block(b: SeriesBlock) -> str:
-    if isinstance(b, PrincipalIrr):
-        return format_class(b)
     return f"I({format_scalar(b.lam)},{b.eps})"
 
 
 def format_summand(s: Summand) -> str:
-    if isinstance(s, Irr):
-        return format_series_block(s.factor)
-    if isinstance(s, LengthTwo):
-        return f"[{format_series_block(s.sub)} | {format_series_block(s.quot)}]"
-    raise TypeError(f"not a summand: {s!r}")
+    text = " | ".join(map(format_series_block, s.blocks))
+    return f"[{text}]" if len(s.blocks) > 1 else text
+
+
+def _summand_factors(s: Summand) -> list:
+    """Composition factors block by block, socle first; an irreducible block is its own factor."""
+    return [c for b in s.blocks for c in ps_structure(b.lam, b.eps).factors]
 
 
 def summand_semisimplification(s: Summand) -> VirtualModule:
-    if isinstance(s, Irr):
-        return VirtualModule.of(*_block_factors(s.factor))
-    if isinstance(s, LengthTwo):
-        return VirtualModule.of(*_block_factors(s.sub), *_block_factors(s.quot))
-    raise TypeError(f"not a summand: {s!r}")
+    return VirtualModule.of(*_summand_factors(s))
 
 
 def decomposition_semisimplification(summands: list) -> VirtualModule:
@@ -202,20 +203,10 @@ def decomposition_to_dict(summands: list) -> dict:
     """JSON-friendly form of a summand list (classes listed bottom layer first)."""
     rendered = []
     for s in summands:
-        if isinstance(s, Irr):
-            entry = {
-                "kind": "irr",
-                "classes": [format_class(c) for c in _block_factors(s.factor)],
-            }
-            if isinstance(s.factor, ReducibleSeries):
-                entry["series"] = [format_series_block(s.factor)]
-        else:
-            entry = {
-                "kind": "len2",
-                "classes": [format_class(c) for c in _block_factors(s.sub) + _block_factors(s.quot)],
-            }
-            if isinstance(s.sub, ReducibleSeries):
-                entry["series"] = [format_series_block(s.sub), format_series_block(s.quot)]
+        factors = _summand_factors(s)
+        entry = {"kind": s.kind, "classes": [format_class(c) for c in factors]}
+        if len(factors) > len(s.blocks):  # reducible blocks are also named whole
+            entry["series"] = [format_series_block(b) for b in s.blocks]
         rendered.append(entry)
     ss = decomposition_semisimplification(summands)
     return {
@@ -257,8 +248,7 @@ def weyl_signed_tensor(m1: int, m2: int) -> VirtualModule:
 
 
 def _check_nonneg(m: int) -> None:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise ValueError(f"highest weight must be a nonnegative integer, got {m!r}")
+    FinDim(m)  # raises the ValueError for a bad highest weight
 
 
 # --- principal series tensor finite-dimensional ------------------------------

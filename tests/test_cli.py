@@ -323,3 +323,19 @@ def test_cli_grammar_exit_codes(case):
     if code == 0 and fmt == "json" and command in ("verify", "sweep"):
         payload = json.loads(out)
         assert payload["entries"] if command == "verify" else payload["count"], argv
+
+
+def test_negative_rationals_need_no_double_dash(capsys):
+    """A token starting with '-' and a digit is a value, not an option."""
+    cases = [
+        (("series", "-7/3", "0"), ("series", "--", "-7/3", "0")),
+        (("verify", "-7/3", "0", "1"), ("verify", "--", "-7/3", "0", "1")),
+        (("sweep", "--lambdas", "-7/3,1/2", "--ms", "0"), ("sweep", "--lambdas=-7/3,1/2", "--ms", "0")),
+        (("lattice", "--lambda-keys", "-1/3"), ("lattice", "--lambda-keys=-1/3")),
+    ]
+    for argv, spelled_out in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out and run(capsys, *spelled_out) == (0, out, ""), argv
+    code, out, err = run(capsys, "series", "-7/3", "2")
+    assert (code, out) == (2, "") and "parity must be 0 or 1" in err

@@ -1,10 +1,18 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from sl2hc.core import DiscreteSeries, FinDim, PrincipalIrr, VirtualModule
+from sl2hc.core import (
+    DiscreteSeries,
+    FinDim,
+    PrincipalIrr,
+    VirtualModule,
+    is_integer,
+    principal_is_irreducible,
+)
 from sl2hc.lattice import (
     ANTIHOL_POINT,
     FD_POINT,
@@ -274,3 +282,42 @@ def test_specialization_edges():
     ps = ClassPoint("ps", F(1, 2), None)
     edges = specialization_edges([FD_POINT, HOL_POINT, ANTIHOL_POINT, ps])
     assert edges == [(HOL_POINT, FD_POINT), (ANTIHOL_POINT, FD_POINT)]
+
+
+def _member_search(l1, e1, l2, e2) -> bool:
+    """(l2, e2) is a member of the class of (l1, e1): some integer shift j
+    with the matching parity change reaches l2 or its dual -l2.  Any witness
+    has |j| <= |l1| + |l2|, so the search is exhaustive."""
+    bound = math.ceil(abs(l1) + abs(l2)) + 1
+    return any(
+        (e2 - e1 - j) % 2 == 0 and l2 in (l1 + j, -(l1 + j)) for j in range(-bound, bound + 1)
+    )
+
+
+@st.composite
+def _irreducible_pair(draw) -> tuple:
+    lam = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+    l1, e1 = draw(lam), draw(st.integers(0, 1))
+    if draw(st.booleans()):  # a translate or its dual, so that members are common
+        l2 = draw(st.sampled_from((1, -1))) * (l1 + draw(st.integers(-4, 4)))
+    else:
+        l2 = draw(lam)
+    e2 = draw(st.integers(0, 1))
+    assume(principal_is_irreducible(l1, e1) and principal_is_irreducible(l2, e2))
+    return l1, e1, l2, e2
+
+
+@given(_irreducible_pair())
+@settings(max_examples=300)
+def test_class_equality_and_classification_match_membership_search(pair):
+    l1, e1, l2, e2 = pair
+    member = _member_search(l1, e1, l2, e2)
+    assert ps_class_equal(l1, e1, l2, e2) == member
+    x, y = PrincipalIrr(l1, e1), PrincipalIrr(l2, e2)
+    (cx, jx), (cy, jy) = classify_irreducible(x), classify_irreducible(y)
+    assert (cx == cy) == member
+    assert ((cx, jx) == (cy, jy)) == (x == y)
+    # the index reaches the module from the base point of its class
+    (point,) = cx
+    eps0 = 0 if point.eps0 is None else point.eps0
+    assert is_integer(jx) and PrincipalIrr(point.lam0 + jx, (eps0 + int(jx)) % 2) == x

@@ -339,3 +339,61 @@ def test_series_structure_layers_kind_and_split():
         assert (s.kind, s.layers, s.split) == (kind, layers, len(layers) == 1)
         assert s.factors == tuple(c for layer in layers for c in layer)
         assert s == SeriesStructure(layers)
+
+
+@pytest.mark.parametrize(
+    "lam, eps, m, text, rendered",
+    [
+        # Irr of an irreducible series
+        (
+            Fraction(1, 2), 0, 1,
+            ["I(3/2,1)", "I(1/2,1)"],
+            {
+                "summands": [{"kind": "irr", "classes": ["I(3/2,1)"]}, {"kind": "irr", "classes": ["I(1/2,1)"]}],
+                "semisimplification": {"I(1/2,1)": 1, "I(3/2,1)": 1},
+            },
+        ),
+        # Irr of reducible series, kept whole and named under "series"
+        (
+            1, 0, 1,
+            ["I(2,1)", "I(0,1)"],
+            {
+                "summands": [
+                    {"kind": "irr", "classes": ["D+(2)", "D-(2)", "V(1)"], "series": ["I(2,1)"]},
+                    {"kind": "irr", "classes": ["D+(0)", "D-(0)"], "series": ["I(0,1)"]},
+                ],
+                "semisimplification": {"V(1)": 1, "D+(0)": 1, "D-(0)": 1, "D+(2)": 1, "D-(2)": 1},
+            },
+        ),
+        # LengthTwo of irreducible series
+        (
+            0, 0, 1,
+            ["[I(1,1) | I(1,1)]"],
+            {
+                "summands": [{"kind": "len2", "classes": ["I(1,1)", "I(1,1)"]}],
+                "semisimplification": {"I(1,1)": 2},
+            },
+        ),
+        # LengthTwo of reducible series: socle-first factors of both layers
+        (
+            0, 1, 1,
+            ["[I(1,0) | I(-1,0)]"],
+            {
+                "summands": [
+                    {
+                        "kind": "len2",
+                        "classes": ["D+(1)", "D-(1)", "V(0)", "V(0)", "D+(1)", "D-(1)"],
+                        "series": ["I(1,0)", "I(-1,0)"],
+                    }
+                ],
+                "semisimplification": {"V(0)": 2, "D+(1)": 2, "D-(1)": 2},
+            },
+        ),
+    ],
+)
+def test_summand_rendering_pinned_for_all_four_shapes(lam, eps, m, text, rendered):
+    summands = ps_tensor(lam, eps, m)
+    assert [format_summand(s) for s in summands] == text
+    got = decomposition_to_dict(summands)
+    assert got == rendered
+    assert list(got["semisimplification"]) == list(rendered["semisimplification"])
