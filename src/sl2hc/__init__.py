@@ -99,6 +99,7 @@ from .lattice import (
     ps_class_point,
     reduce_to_base,
     specialization_edges,
+    structural_counts,
     sub_poset_ops,
     is_valid_submodule_set,
 )

@@ -40,6 +40,7 @@ from .lattice import (
     orbit_label,
     point_sort_key,
     specialization_edges,
+    structural_counts,
 )
 from .oracle import UnexpectedEigenvalueError, verdict_to_dict, verify_tensor
 from .tensor import (
@@ -52,6 +53,7 @@ from .tensor import (
 )
 
 SCHEMA_VERSION = 1
+MAX_LATTICE_PS_POINTS = 12  # 20,480 sets; each further point doubles the output
 
 
 # --- argument converters --------------------------------------------------------
@@ -60,8 +62,6 @@ SCHEMA_VERSION = 1
 def _scalar_arg(text: str) -> Fraction:
     try:
         return as_scalar(text)
-    except ZeroDivisionError:
-        raise argparse.ArgumentTypeError(f"cannot parse rational {text!r}")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
@@ -219,15 +219,24 @@ def _lattice_points(lambda_keys: tuple) -> list:
 
 def _cmd_lattice(args):
     points = _lattice_points(args.lambda_keys)
+    p = len(points) - 3
+    if p > MAX_LATTICE_PS_POINTS:
+        n_sets, n_covers = structural_counts(p)
+        raise ValueError(
+            f"argument --lambda-keys: {p} principal series points give {n_sets} sets and "
+            f"{n_covers} covers; at most {MAX_LATTICE_PS_POINTS} points are enumerated"
+        )
     sets = enumerate_submodule_sets(points)
     covers = cover_edges(sets)
     specs = specialization_edges(points)
+    names = {point: format_point(point) for point in points}
+    rank = {point: i for i, point in enumerate(points)}
     payload = {
         "command": "lattice",
-        "points": [{"point": format_point(p), "orbit": orbit_label(p)} for p in points],
-        "sets": [[format_point(p) for p in sorted(s, key=point_sort_key)] for s in sets],
+        "points": [{"point": names[point], "orbit": orbit_label(point)} for point in points],
+        "sets": [[names[point] for point in sorted(s, key=rank.__getitem__)] for s in sets],
         "covers": [[i, j] for i, j in covers],
-        "specializations": [[format_point(p), format_point(q)] for p, q in specs],
+        "specializations": [[names[a], names[b]] for a, b in specs],
     }
     render = _lattice_dot if args.format == "dot" else _lattice_text
     return payload, render(payload)
@@ -369,7 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--lambda-keys",
         type=_scalar_list_arg,
         default=(),
-        help="comma-separated principal series parameters seeding the window",
+        help="comma-separated principal series parameters seeding the window; at most "
+        f"{MAX_LATTICE_PS_POINTS} principal series points are enumerated (a key lam gives 1 "
+        "when 2*lam is an integer, else 2; keys that differ by an integer or a sign share them)",
     )
     p.set_defaults(func=_cmd_lattice)
 

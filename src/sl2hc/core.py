@@ -35,7 +35,10 @@ def as_scalar(value: int | str | Fraction) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"cannot parse rational {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact scalar")
 
 

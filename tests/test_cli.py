@@ -270,7 +270,7 @@ def _token(good: tuple, bad: tuple) -> st.SearchStrategy:
 _LAMBDA = _token(("0", "1", "-2", "1/2", "-7/3", "5/2"), ("1/0", "x"))
 _PARITY = _token(("0", "1"), ("2", "x"))
 _M = _token(("0", "1", "2"), ("-1", "x", "1/0"))
-_CLASS = _token(("V(0)", "V(2)", "D+(1)", "D-(0)", "I(1/2,0)", "I(0,0)"), ("I(0,1)", "V(-1)", "1/0", "x"))
+_CLASS = _token(("V(0)", "V(2)", "D+(1)", "D-(0)", "I(1/2,0)", "I(0,0)"), ("I(0,1)", "V(-1)", "1/0", "x", "I(1/0,0)"))
 
 
 @st.composite
@@ -339,3 +339,32 @@ def test_negative_rationals_need_no_double_dash(capsys):
         assert out and run(capsys, *spelled_out) == (0, out, ""), argv
     code, out, err = run(capsys, "series", "-7/3", "2")
     assert (code, out) == (2, "") and "parity must be 0 or 1" in err
+
+
+def test_zero_denominator_class_tokens_exit_2(capsys):
+    for fmt in ("text", "json"):
+        for argv in (
+            ("classify", "I(1/0,0)"),
+            ("tensor", "I(1/0,0)", "1"),
+            ("ktypes", "I(1/0,0)", "--window", "0", "2"),
+        ):
+            code, out, err = run(capsys, "--format", fmt, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "cannot parse rational '1/0'" in err and "Traceback" not in err, argv
+
+
+def test_lattice_refuses_more_than_12_principal_series_points(capsys):
+    six = "1/5,1/7,2/7,1/9,2/9,4/9"
+    code, out, err = run(capsys, "lattice", f"--lambda-keys={six}")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[lines.index("sets:") - 1] == "  Ps(4/9,1): open orbit C^x"
+    assert lines.index("covers:") - lines.index("sets:") - 1 == 5 * 2**12
+    assert lines.index("specializations:") - lines.index("covers:") - 1 == 5 * 2**12 + 5 * 12 * 2**11
+    for fmt in ("text", "json", "dot"):
+        code, out, err = run(capsys, "--format", fmt, "lattice", f"--lambda-keys={six},1/11")
+        assert (code, out) == (2, ""), fmt
+        assert err.splitlines() == [
+            "argument --lambda-keys: 14 principal series points give 81920 sets and 655360 covers; "
+            "at most 12 points are enumerated"
+        ]

@@ -34,6 +34,7 @@ from sl2hc.lattice import (
     ps_class_point,
     reduce_to_base,
     specialization_edges,
+    structural_counts,
     sub_poset_ops,
 )
 
@@ -321,3 +322,79 @@ def test_class_equality_and_classification_match_membership_search(pair):
     (point,) = cx
     eps0 = 0 if point.eps0 is None else point.eps0
     assert is_integer(jx) and PrincipalIrr(point.lam0 + jx, (eps0 + int(jx)) % 2) == x
+
+
+# --- the structural lattice against the brute-force reference --------------------------
+
+
+def _enumerate_reference(points) -> list:
+    """Filter all 2^n subsets by the constraint, then sort by (size, keys)."""
+    pts = sorted(set(points), key=point_sort_key)
+    sets = []
+    for mask in range(1 << len(pts)):
+        subset = frozenset(p for i, p in enumerate(pts) if mask >> i & 1)
+        if is_valid_submodule_set(subset):
+            sets.append(subset)
+    sets.sort(key=lambda s: (len(s), sorted(point_sort_key(p) for p in s)))
+    return sets
+
+
+def _cover_reference(sets: list) -> list:
+    """Scan all pairs for one set inside another with one point more."""
+    index = {s: i for i, s in enumerate(sets)}
+    edges = [(index[s], index[t]) for s in sets for t in sets if len(t) == len(s) + 1 and s < t]
+    return sorted(edges)
+
+
+_PS_POOL = [
+    ClassPoint("ps", F(0), None),
+    ClassPoint("ps", F(1, 2), None),
+    *(ClassPoint("ps", F(a, b), e) for a, b in ((1, 3), (1, 4), (1, 5), (2, 5)) for e in (0, 1)),
+]
+
+
+@st.composite
+def _window_points(draw) -> list:
+    """Any subset of {Fd, C+, C-} and 0-5 principal series points, in any
+    order and with repeats."""
+    fixed = draw(st.lists(st.sampled_from([FD_POINT, HOL_POINT, ANTIHOL_POINT]), unique=True))
+    ps = draw(st.lists(st.sampled_from(_PS_POOL), unique=True, max_size=5))
+    repeats = draw(st.lists(st.sampled_from(fixed + ps), max_size=3)) if fixed + ps else []
+    return draw(st.permutations(fixed + ps + repeats))
+
+
+@given(_window_points(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_structural_lattice_matches_brute_force(points, rnd):
+    sets = enumerate_submodule_sets(points)
+    assert sets == _enumerate_reference(points)
+    assert cover_edges(sets) == _cover_reference(sets)
+    # any sub-list of the sets, in any order, is read the same way
+    some = rnd.sample(sets, rnd.randint(0, len(sets)))
+    assert cover_edges(some) == _cover_reference(some)
+
+
+@pytest.mark.parametrize("p", range(11))
+def test_structural_counts_closed_form(p):
+    points = [FD_POINT, HOL_POINT, ANTIHOL_POINT, *(ClassPoint("ps", F(1, 3 + i), 0) for i in range(p))]
+    sets = enumerate_submodule_sets(points)
+    covers = cover_edges(sets)
+    assert (len(sets), len(covers)) == (5 * 2**p, 5 * 2**p + 5 * p * 2**p // 2)
+    assert structural_counts(p) == (len(sets), len(covers))
+    assert all(len(sets[j]) == len(sets[i]) + 1 for i, j in covers)
+
+
+def test_cover_edges_on_sets_that_are_not_closed():
+    ps, ps3 = ClassPoint("ps", F(0), None), ClassPoint("ps", F(1, 3), 1)
+    sets = [
+        frozenset({HOL_POINT, ps}),
+        frozenset(),
+        frozenset({HOL_POINT}),
+        frozenset({FD_POINT, HOL_POINT, ANTIHOL_POINT, ps}),
+        frozenset({ps3}),
+        frozenset({HOL_POINT, ANTIHOL_POINT, ps}),
+        frozenset({ps}),
+        frozenset({FD_POINT, ps3, ps}),
+    ]
+    expected = [(0, 5), (1, 2), (1, 4), (1, 6), (2, 0), (5, 3), (6, 0)]
+    assert cover_edges(sets) == _cover_reference(sets) == expected
