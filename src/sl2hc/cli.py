@@ -6,21 +6,21 @@ arguments (one stderr line says which), 3 a verification that ran and
 failed or met an eigenvalue outside its candidate set.  ``--format json``
 wraps each payload with ``schema_version``; ``--format dot`` is only
 meaningful for ``lattice``.  ``main`` alone turns payloads into output and
-errors into exit codes.
+errors into exit codes.  A command imports the lattice or the oracle
+only when it needs them, so the cheap commands start fast.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from fractions import Fraction
-from typing import List, Optional
 
 from .core import (
     IrreducibleClass,
     PrincipalIrr,
+    UnexpectedEigenvalueError,
     VirtualModule,
     as_scalar,
     display_sort_key,
@@ -30,19 +30,6 @@ from .core import (
     ktype_function,
     parse_class,
 )
-from .lattice import (
-    classify_irreducible,
-    cover_edges,
-    enumerate_submodule_sets,
-    format_point,
-    generated_submodule,
-    irreducible_closed_sets,
-    orbit_label,
-    point_sort_key,
-    specialization_edges,
-    structural_counts,
-)
-from .oracle import UnexpectedEigenvalueError, verdict_to_dict, verify_tensor
 from .tensor import (
     clebsch_gordan,
     decomposition_to_dict,
@@ -193,6 +180,8 @@ def _ktypes_lines(p: dict):
 
 
 def _cmd_generate(args):
+    from .lattice import format_point, generated_submodule, point_sort_key
+
     points = generated_submodule([VirtualModule.of(cls) for cls in args.classes])
     payload = {
         "command": "generate",
@@ -203,6 +192,8 @@ def _cmd_generate(args):
 
 
 def _cmd_classify(args):
+    from .lattice import classify_irreducible, format_point, point_sort_key
+
     closure_set, index = classify_irreducible(args.cls)
     payload = {
         "command": "classify",
@@ -213,12 +204,19 @@ def _cmd_classify(args):
     return payload, _line("closure {}, index {}".format, _braces(payload["closure"]), payload["index"])
 
 
-def _lattice_points(lambda_keys: tuple) -> list:
-    return sorted(frozenset().union(*irreducible_closed_sets(lambda_keys)), key=point_sort_key)
-
-
 def _cmd_lattice(args):
-    points = _lattice_points(args.lambda_keys)
+    from .lattice import (
+        cover_edges,
+        enumerate_submodule_sets,
+        format_point,
+        irreducible_closed_sets,
+        orbit_label,
+        point_sort_key,
+        specialization_edges,
+        structural_counts,
+    )
+
+    points = sorted(frozenset().union(*irreducible_closed_sets(args.lambda_keys)), key=point_sort_key)
     p = len(points) - 3
     if p > MAX_LATTICE_PS_POINTS:
         n_sets, n_covers = structural_counts(p)
@@ -279,7 +277,17 @@ def _lattice_dot(p: dict):
     yield "}"
 
 
+def verify_tensor(*args):
+    """``oracle.verify_tensor``, imported on the first call; a module
+    attribute, so that it can be replaced."""
+    from .oracle import verify_tensor
+
+    return verify_tensor(*args)
+
+
 def _cmd_verify(args):
+    from .oracle import verdict_to_dict
+
     verdict = verify_tensor(args.lam, args.eps, args.m, tuple(args.window) if args.window else None)
     return {"command": "verify", **verdict_to_dict(verdict)}, _line(_verify_line, verdict)
 
@@ -399,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -419,6 +427,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"FAIL ({exc})", file=sys.stderr)
         return 3
     if args.format == "json":
+        import json
+
         print(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2))
     else:
         for line in lines:

@@ -20,12 +20,90 @@ arithmetic plus those two predicates.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from functools import total_ordering
+from operator import attrgetter
 
 Scalar = Fraction
+
+
+class UnexpectedEigenvalueError(ArithmeticError):
+    """Raised when a Casimir spectrum leaves the candidate eigenvalue set."""
+
+
+_setattr = object.__setattr__
+
+
+class Record:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``__slots__`` and may give defaults for
+    trailing fields in ``_defaults``.  Instances are built from positional
+    or keyword field values, then checked or canonicalized by
+    ``__post_init__``, which sets fields through ``object.__setattr__``.
+    Afterwards they are read-only.  Two records are equal when they have
+    the same class and equal fields; the hash is that of the field tuple,
+    computed once.  The repr is ``Name(field=value, ...)``, and pickling
+    rebuilds through the constructor.
+    """
+
+    __slots__ = ("_hash",)
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        fields = cls.__slots__
+        cls._fields = cls.__match_args__ = fields
+        cls._get = get = attrgetter(*fields)  # the bare value for a single field
+        cls._key = staticmethod(get if len(fields) > 1 else lambda self: (get(self),))
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        _setattr(self, "_hash", None)
+        for name, value in zip(self._fields, args):
+            _setattr(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """Field values in order from positional values, keywords and defaults."""
+        given = dict(zip(cls._fields, args))
+        values = {**cls._defaults, **given, **kwargs}
+        if len(args) > len(cls._fields) or given.keys() & kwargs.keys() or values.keys() != set(cls._fields):
+            fields = ", ".join(cls._fields)
+            raise TypeError(f"{cls.__name__} takes the fields {fields}; got {args!r}, {kwargs!r}")
+        return [values[name] for name in cls._fields]
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._get(self) == self._get(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash(self._key(self))
+            _setattr(self, "_hash", h)
+        return h
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._key(self)
 
 
 def as_scalar(value: int | str | Fraction) -> Fraction:
@@ -65,27 +143,24 @@ def principal_is_irreducible(lam: Fraction, eps: int) -> bool:
     return not (is_integer(lam) and (int(lam) - eps) % 2 != 0)
 
 
-@dataclass(frozen=True)
-class FinDim:
+class FinDim(Record):
     """Finite-dimensional irreducible of highest weight m (dimension m + 1)."""
 
-    m: int
+    __slots__ = ("m",)
 
     def __post_init__(self) -> None:
         if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 0:
             raise ValueError(f"highest weight must be a nonnegative integer, got {self.m!r}")
 
 
-@dataclass(frozen=True)
-class DiscreteSeries:
+class DiscreteSeries(Record):
     """Discrete series D+(l) / D-(l); l = 0 gives the limits of discrete series.
 
     ``sign=+1`` is the holomorphic family (K-types l+1, l+3, ...) and
     ``sign=-1`` the anti-holomorphic mirror.
     """
 
-    sign: int
-    l: int
+    __slots__ = ("sign", "l")
 
     def __post_init__(self) -> None:
         if self.sign not in (1, -1):
@@ -94,16 +169,14 @@ class DiscreteSeries:
             raise ValueError(f"discrete series parameter must be a nonnegative integer, got {self.l!r}")
 
 
-@dataclass(frozen=True)
-class PrincipalIrr:
+class PrincipalIrr(Record):
     """Irreducible principal series I(lam, eps), canonicalized to lam >= 0.
 
     The modules at parameter lam and -lam are isomorphic, so the constructor
     replaces lam by its absolute value.  Reducible parameters are rejected.
     """
 
-    lam: Fraction
-    eps: int
+    __slots__ = ("lam", "eps")
 
     def __post_init__(self) -> None:
         lam = as_scalar(self.lam)
@@ -115,7 +188,7 @@ class PrincipalIrr:
         object.__setattr__(self, "lam", abs(lam))
 
 
-IrreducibleClass = Union[FinDim, DiscreteSeries, PrincipalIrr]
+IrreducibleClass = FinDim | DiscreteSeries | PrincipalIrr
 
 
 def class_sort_key(x: IrreducibleClass) -> tuple:
@@ -290,17 +363,22 @@ def format_virtual_module(x: VirtualModule) -> str:
 # --- infinitesimal character / Casimir -------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class InfChar:
+@total_ordering
+class InfChar(Record):
     """Infinitesimal character, i.e. the orbit {+value, -value}, canonical rep >= 0."""
 
-    value: Fraction
+    __slots__ = ("value",)
 
     def __post_init__(self) -> None:
         v = as_scalar(self.value)
         if v < 0:
             raise ValueError("canonical representative must be nonnegative")
         object.__setattr__(self, "value", v)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.value < other.value
+        return NotImplemented
 
     @property
     def casimir(self) -> Fraction:
@@ -325,20 +403,16 @@ def casimir_value(x: IrreducibleClass) -> Fraction:
 # --- K-type multiplicity functions ------------------------------------------
 
 
-@dataclass(frozen=True)
-class KTypeFunction:
+class KTypeFunction(Record):
     """Exact K-multiplicity function on one parity class of weights.
 
     Stored as explicit values on a minimal window plus two constant tails
     (the eventual values for k -> -oo and k -> +oo along the parity class).
-    The representation is canonical, so equality of the dataclass fields is
-    equality of functions.
+    The representation is canonical, so equality of the fields is equality
+    of functions.
     """
 
-    parity: int
-    tail_left: int
-    tail_right: int
-    values: tuple  # ((k, mult), ...), step-2 contiguous, minimal
+    __slots__ = ("parity", "tail_left", "tail_right", "values")  # values: ((k, mult), ...)
 
     def __post_init__(self) -> None:
         check_parity(self.parity)

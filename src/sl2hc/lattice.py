@@ -22,15 +22,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Optional
 
 from .core import (
     ASCone,
     IrreducibleClass,
     PrincipalIrr,
+    Record,
     Scalar,
     VirtualModule,
     as_cone,
@@ -52,13 +51,15 @@ _KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class ClassPoint:
-    """A point of the class space: Fd, C+, C-, or a principal series class."""
+class ClassPoint(Record):
+    """A point of the class space: Fd, C+, C-, or a principal series class.
 
-    kind: str
-    lam0: Optional[Fraction] = None
-    eps0: Optional[int] = None
+    ``lam0`` and ``eps0`` are the base parameter and parity marker of a
+    principal series point, and None otherwise.
+    """
+
+    __slots__ = ("kind", "lam0", "eps0")
+    _defaults = {"lam0": None, "eps0": None}
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -79,14 +80,6 @@ class ClassPoint:
                 raise ValueError("parity marker required for this base parameter")
             check_parity(self.eps0)
         object.__setattr__(self, "lam0", lam0)
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.kind, self.lam0, self.eps0))
-
-    def __hash__(self) -> int:
-        # a lattice hashes every point of every set, and a Fraction hash is slow
-        return self._hash
 
 
 FD_POINT = ClassPoint("fd")
@@ -196,11 +189,10 @@ def closure(points: Iterable[ClassPoint]) -> frozenset:
     return frozenset(pts)
 
 
-@dataclass(frozen=True)
-class PosetOps:
-    leq: bool
-    join: frozenset
-    meet: frozenset
+class PosetOps(Record):
+    """Containment (``leq``), union (``join``) and intersection (``meet``) of two sets."""
+
+    __slots__ = ("leq", "join", "meet")
 
 
 def sub_poset_ops(s: Iterable[ClassPoint], t: Iterable[ClassPoint]) -> PosetOps:

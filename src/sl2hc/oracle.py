@@ -30,12 +30,13 @@ it against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .core import (
+    Record,
     Scalar,
+    UnexpectedEigenvalueError,
     as_scalar,
     casimir_value,
     check_parity,
@@ -53,19 +54,13 @@ from .linalg import (
 from .tensor import LengthTwo, block_parameter, decomposition_semisimplification, ps_tensor
 
 
-class UnexpectedEigenvalueError(ArithmeticError):
-    """Raised when a Casimir spectrum leaves the candidate eigenvalue set."""
-
-
 # --- realizations ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrincipalSeriesRealization:
+class PrincipalSeriesRealization(Record):
     """Principal series on the K-weight basis {w_k : k = eps mod 2}."""
 
-    lam: Fraction
-    eps: int
+    __slots__ = ("lam", "eps")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lam", as_scalar(self.lam))
@@ -81,15 +76,14 @@ class PrincipalSeriesRealization:
         return (self.lam - k + 1) / 2
 
 
-@dataclass(frozen=True)
-class FinDimRealization:
+class FinDimRealization(Record):
     """V(m) as the weight window |k| <= m of the ladder at lam = -(m+1).
 
     The raising coefficient vanishes at k = m and the lowering one at
     k = -m, so the window is closed under the action.
     """
 
-    m: int
+    __slots__ = ("m",)
 
     def __post_init__(self) -> None:
         if not isinstance(self.m, int) or self.m < 0:
@@ -283,26 +277,20 @@ def reducibility_points(lam: Scalar, eps: int) -> list:
 # --- spectral reports ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightSpectrum:
+class WeightSpectrum(Record):
     """Casimir structure on one K-weight subspace.
 
     ``eigenvalues`` holds (value, algebraic multiplicity, Jordan block sizes
     sorted descending), sorted by value.
     """
 
-    k: int
-    dim: int
-    eigenvalues: tuple
+    __slots__ = ("k", "dim", "eigenvalues")
 
 
-@dataclass(frozen=True)
-class CasimirReport:
-    lam: Fraction
-    eps: int
-    m: int
-    window: tuple
-    entries: tuple
+class CasimirReport(Record):
+    """The weight spectra of I(lam, eps) (x) V(m) over a K-weight window."""
+
+    __slots__ = ("lam", "eps", "m", "window", "entries")
 
 
 def default_window(lam: Scalar, eps: int, m: int) -> tuple:
@@ -367,32 +355,26 @@ def _weight_spectrum(k: int, band, candidates) -> WeightSpectrum:
 # --- closed form vs oracle ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerifyEntry:
-    k: int
-    dim: int
-    observed: tuple  # ((value, mult, jordan sizes), ...)
-    predicted: tuple  # ((value, mult), ...)
-    match: bool
+class VerifyEntry(Record):
+    """Observed ``((value, mult, jordan sizes), ...)`` against predicted
+    ``((value, mult), ...)`` at one K-weight."""
+
+    __slots__ = ("k", "dim", "observed", "predicted", "match")
 
 
-@dataclass(frozen=True)
-class BlockObservation:
-    """Observed Jordan data at the Casimir value of one LengthTwo block."""
+class BlockObservation(Record):
+    """Observed Jordan data at the Casimir value of one LengthTwo block.
 
-    casimir: Fraction
-    jordan_profiles: tuple  # distinct size tuples seen across the window
+    ``jordan_profiles`` holds the distinct size tuples seen across the window.
+    """
+
+    __slots__ = ("casimir", "jordan_profiles")
 
 
-@dataclass(frozen=True)
-class VerificationVerdict:
-    lam: Fraction
-    eps: int
-    m: int
-    window: tuple
-    entries: tuple
-    block_observations: tuple
-    passed: bool
+class VerificationVerdict(Record):
+    """Closed form against oracle over a window: one entry per K-weight."""
+
+    __slots__ = ("lam", "eps", "m", "window", "entries", "block_observations", "passed")
 
     def first_mismatch(self) -> Optional[VerifyEntry]:
         return next((e for e in self.entries if not e.match), None)

@@ -10,15 +10,14 @@ the induced operation on integer combinations of classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .core import (
     DiscreteSeries,
     FinDim,
     IrreducibleClass,
     PrincipalIrr,
+    Record,
     Scalar,
     VirtualModule,
     as_scalar,
@@ -38,8 +37,7 @@ from .core import (
 _KINDS = {(1,): "irreducible", (2,): "split_limit", (2, 1): "positive_int", (1, 2): "negative_int"}
 
 
-@dataclass(frozen=True)
-class SeriesStructure:
+class SeriesStructure(Record):
     """Composition series of a principal series, socle to top.
 
     ``layers[0]`` is the socle; each layer is a tuple of irreducible classes.
@@ -47,7 +45,7 @@ class SeriesStructure:
     sum of the two limits of discrete series.
     """
 
-    layers: tuple
+    __slots__ = ("layers",)
 
     @property
     def split(self) -> bool:
@@ -107,8 +105,7 @@ def series_semisimplification(lam: Scalar, eps: int) -> VirtualModule:
 # --- summands of a principal series tensor ----------------------------------
 
 
-@dataclass(frozen=True)
-class ReducibleSeries:
+class ReducibleSeries(Record):
     """A reducible principal series kept whole as one block of a decomposition.
 
     The parameter keeps its sign: at reducible parameters the series at lam
@@ -116,8 +113,7 @@ class ReducibleSeries:
     occurs.
     """
 
-    lam: Fraction
-    eps: int
+    __slots__ = ("lam", "eps")
 
     def __post_init__(self) -> None:
         lam = as_scalar(self.lam)
@@ -129,14 +125,13 @@ class ReducibleSeries:
         object.__setattr__(self, "lam", lam)
 
 
-SeriesBlock = Union[PrincipalIrr, ReducibleSeries]
+SeriesBlock = PrincipalIrr | ReducibleSeries
 
 
-@dataclass(frozen=True)
-class Irr:
+class Irr(Record):
     """A single principal series occurring as a direct summand."""
 
-    factor: SeriesBlock
+    __slots__ = ("factor",)
     kind = "irr"
 
     @property
@@ -144,16 +139,14 @@ class Irr:
         return (self.factor,)
 
 
-@dataclass(frozen=True)
-class LengthTwo:
+class LengthTwo(Record):
     """Self-extension block: two principal series glued along an integral wall.
 
     ``sub`` sits at the bottom of the extension, ``quot`` on top; they share
     the infinitesimal character.
     """
 
-    sub: SeriesBlock
-    quot: SeriesBlock
+    __slots__ = ("sub", "quot")
     kind = "len2"
 
     def __post_init__(self) -> None:
@@ -165,7 +158,7 @@ class LengthTwo:
         return (self.sub, self.quot)
 
 
-Summand = Union[Irr, LengthTwo]
+Summand = Irr | LengthTwo
 
 
 def block_parameter(b: SeriesBlock) -> Fraction:
