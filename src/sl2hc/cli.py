@@ -1,18 +1,21 @@
 """Command-line front end.
 
 Every command reads flags only, writes to stdout, and is deterministic:
-identical inputs give byte-identical output.  Exit codes: 0 success, 2 bad
-arguments (one stderr line says which), 3 a verification that ran and
-failed or met an eigenvalue outside its candidate set.  ``--format json``
-wraps each payload with ``schema_version``; ``--format dot`` is only
-meaningful for ``lattice``.  ``main`` alone turns payloads into output and
-errors into exit codes.  A command imports the lattice or the oracle
-only when it needs them, so the cheap commands start fast.
+identical inputs give byte-identical output.  Exit codes: 0 success, 1 the
+reader closed stdout early (nothing on stderr), 2 bad arguments (one stderr
+line says which), 3 a verification that ran and failed or met an eigenvalue
+outside its candidate set.  ``--format json`` prints exactly
+``json.dumps(payload, indent=2)``, with ``schema_version``; ``--format dot``
+is only meaningful for ``lattice``.  ``main`` alone turns payloads into
+output, written at once, and errors into exit codes.  A command imports the
+lattice or the oracle only when it needs them, so the cheap commands start
+fast.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from fractions import Fraction
@@ -206,9 +209,9 @@ def _cmd_classify(args):
 
 def _cmd_lattice(args):
     from .lattice import (
-        cover_edges,
-        enumerate_submodule_sets,
+        closed_index_sets,
         format_point,
+        index_cover_edges,
         irreducible_closed_sets,
         orbit_label,
         point_sort_key,
@@ -224,17 +227,14 @@ def _cmd_lattice(args):
             f"argument --lambda-keys: {p} principal series points give {n_sets} sets and "
             f"{n_covers} covers; at most {MAX_LATTICE_PS_POINTS} points are enumerated"
         )
-    sets = enumerate_submodule_sets(points)
-    covers = cover_edges(sets)
-    specs = specialization_edges(points)
-    names = {point: format_point(point) for point in points}
-    rank = {point: i for i, point in enumerate(points)}
+    combos = closed_index_sets(points)
+    names = [format_point(point) for point in points]
     payload = {
         "command": "lattice",
-        "points": [{"point": names[point], "orbit": orbit_label(point)} for point in points],
-        "sets": [[names[point] for point in sorted(s, key=rank.__getitem__)] for s in sets],
-        "covers": [[i, j] for i, j in covers],
-        "specializations": [[names[a], names[b]] for a, b in specs],
+        "points": [{"point": name, "orbit": orbit_label(point)} for name, point in zip(names, points)],
+        "sets": [list(map(names.__getitem__, combo)) for combo in combos],
+        "covers": list(map(list, index_cover_edges(combos))),
+        "specializations": [[format_point(a), format_point(b)] for a, b in specialization_edges(points)],
     }
     render = _lattice_dot if args.format == "dot" else _lattice_text
     return payload, render(payload)
@@ -407,6 +407,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json(obj) -> str:
+    """``json.dumps(obj, indent=2)`` byte for byte over dicts with string keys,
+    lists, tuples, strings, ints, bools and None; any other type raises
+    TypeError.  With an indent the stdlib runs its pure-Python encoder."""
+    from json.encoder import encode_basestring_ascii as quote  # the C one
+
+    def encode(obj, indent: str) -> str:
+        if isinstance(obj, str):
+            return quote(obj)
+        if obj is None or isinstance(obj, bool):
+            return "null" if obj is None else "true" if obj else "false"
+        if isinstance(obj, int):
+            return int.__repr__(obj)
+        inner = indent + "  "
+        if isinstance(obj, dict):
+            items = [f"{quote(key)}: {encode(value, inner)}" for key, value in obj.items()]
+            return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+        if isinstance(obj, (list, tuple)):
+            items = [encode(value, inner) for value in obj]
+            return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+    return encode(obj, "\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -427,12 +452,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAIL ({exc})", file=sys.stderr)
         return 3
     if args.format == "json":
-        import json
-
-        print(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2))
+        text = _json({"schema_version": SCHEMA_VERSION, **payload}) + "\n"
     else:
-        for line in lines:
-            print(line)
+        text = "\n".join([*lines, ""])
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:  # as the Python docs' SIGPIPE note: silence the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 3 if payload.get("verdict") == "FAIL" or payload.get("passed") is False else 0
 
 

@@ -223,38 +223,49 @@ def irreducible_closed_sets(lambdas: Iterable[Scalar]) -> list:
     return [closure({p}) for p in points]
 
 
-def enumerate_submodule_sets(points: Iterable[ClassPoint]) -> list:
-    """All valid submodule sets over a finite window of class points.
-
-    Ordered by size, then by the sorted point keys: combinations of the
-    sorted points come out in exactly that order, and the closed ones are
-    5/8 of them whenever the window holds Fd, C+ and C-.
-    """
-    pts = sorted(set(points), key=point_sort_key)
+def closed_index_sets(points: list) -> list:
+    """Closed sets over distinct points as index tuples, by size and then
+    lexicographically (over sorted points, the order of the sorted keys): as
+    ``closure`` adds only Fd, a tuple is closed iff it holds the Fd index or
+    no index of a point whose closure holds Fd (C+ and C-)."""
+    fd = points.index(FD_POINT) if FD_POINT in points else -1
+    poles = {i for i, p in enumerate(points) if p != FD_POINT and FD_POINT in closure({p})}
     return [
-        subset
-        for size in range(len(pts) + 1)
-        for subset in map(frozenset, itertools.combinations(pts, size))
-        if is_valid_submodule_set(subset)
+        combo
+        for size in range(len(points) + 1)
+        for combo in itertools.combinations(range(len(points)), size)
+        if fd in combo or poles.isdisjoint(combo)
     ]
 
 
-def cover_edges(sets: list) -> list:
-    """Hasse covers in the containment order restricted to the given sets.
+def index_cover_edges(sets: list) -> list:
+    """Hasse covers among distinct sets of point indices, on integer masks.
 
-    Within the window every cover adds exactly one point: adding Fd first is
+    Within a window every cover adds exactly one point: adding Fd first is
     always valid, so larger gaps always factor through an intermediate set.
-    The covers are therefore the pairs of the given (distinct) sets that
-    differ by one point, found by one lookup per set and missing point.
+    The covers are therefore the pairs of the given sets that differ by one
+    point, found by one lookup per set and missing point.
     """
-    bits: dict = {}
-    masks = [sum(bits.setdefault(p, 1 << len(bits)) for p in s) for s in sets]
+    masks = [sum(map((1).__lshift__, s)) for s in sets]
     index = {mask: i for i, mask in enumerate(masks)}
-    edges = []
-    for i, mask in enumerate(masks):
-        above = sorted(index[mask | bit] for bit in bits.values() if not mask & bit and (mask | bit) in index)
-        edges.extend((i, j) for j in above)
-    return edges
+    bits = [1 << b for b in range(max(masks, default=0).bit_length())]
+    return sorted(
+        (i, index[m | bit]) for i, m in enumerate(masks) for bit in bits if not m & bit and m | bit in index
+    )
+
+
+def enumerate_submodule_sets(points: Iterable[ClassPoint]) -> list:
+    """All valid submodule sets over a finite window of class points,
+    ordered by size, then by the sorted point keys."""
+    pts = sorted(set(points), key=point_sort_key)
+    return [frozenset(map(pts.__getitem__, combo)) for combo in closed_index_sets(pts)]
+
+
+def cover_edges(sets: list) -> list:
+    """Hasse covers in the containment order restricted to the given
+    (distinct) sets of class points; see ``index_cover_edges``."""
+    bits: dict = {}
+    return index_cover_edges([[bits.setdefault(p, len(bits)) for p in s] for s in sets])
 
 
 def structural_counts(p: int) -> tuple:

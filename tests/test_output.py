@@ -1,0 +1,153 @@
+"""How ``sl2hc.cli.main`` writes: pinned bytes, one write, the JSON writer,
+and a reader that closes the pipe early."""
+
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import sl2hc.cli as cli
+from sl2hc.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+KEYS = ("1/5", "1/7", "2/7", "1/9", "2/9")
+
+# sha256 of stdout for `sl2hc --format FMT lattice` over the first n keys
+LATTICE_SHA256 = {
+    (0, "text"): "47155558e54bebf77898b7979d56520a6bf2f3c74ef686b1f6f24999b8eab280",
+    (0, "json"): "845da309e6851be90c32c1db66b16226717ea574a53bf9e1ad703a4fdb750407",
+    (0, "dot"): "21064512c430b52a3c88da2ba21edd569a6c8e8c8bafba2e7d0957b137bd419d",
+    (1, "text"): "4a0d72e1216afae580213100d14745c0e106cfea32ce9e626ccef0598d8f34b2",
+    (1, "json"): "fc64f15775194f9bed11fe6b691cc26de4e0344618da168ed92043af9f5e0257",
+    (1, "dot"): "eb8c86ac03b03b9a8d60c27a3676bacde93ac0c35d96c217249cbd2d6c64c1a4",
+    (2, "text"): "65010f2f582f5038008ec2a6fd9f06558a2ceaa7265f115c34ee42ecd6e3d80d",
+    (2, "json"): "bf93f5ae10872f8dd667dfc91e0d35ee0bb41802f36d636070bd7f22734eef62",
+    (2, "dot"): "9393b9607c8bc5ac66f4599bcdfbd524647b9e0d5b660b006a1f17a5a7685d54",
+    (3, "text"): "c368e796d886c050af006a9bd35791ee148d58a010a3af9d08f38d22901a9a00",
+    (3, "json"): "cf90d098632533ef1a2d4cca3c2d8cfaed46082c3a418cbb8cb211b531521c2d",
+    (3, "dot"): "1177d4ee17bce78a9f56c5b62ff636e364cdc89801364d298d713472b3fb8faa",
+    (4, "text"): "ac69da820d66a8d8a662fb9a96597b39979e8b4657793c7617c3c15f2cd73adb",
+    (4, "json"): "e6d80dbd837975aa20c4e842a37303631ac8a8d318e35c0baca3aea9c7d9b4f3",
+    (4, "dot"): "7c79f77aee2bf886d6c8e2b6afdc2c08d0c4c577ce419d19596c1dc65df4db7d",
+    (5, "text"): "b273b0c1e88b08074215000e41f7a2f370c5f7395fbcf2124044d7db7e9dc25e",
+    (5, "json"): "ea229039780abe593fb8e93523a4b30a72258af6cc3ec46325298557112ba0fd",
+    (5, "dot"): "f48ddabc5659725533def3308e47e05ed09b7a434ec85c0e328eda8b705c5fe9",
+}
+
+
+def _lattice_argv(n: int, fmt: str) -> list:
+    return ["--format", fmt, "lattice", *([f"--lambda-keys={','.join(KEYS[:n])}"] if n else [])]
+
+
+@pytest.mark.parametrize("n, fmt", sorted(LATTICE_SHA256))
+def test_lattice_output_bytes_are_pinned(capsys, n, fmt):
+    assert main(_lattice_argv(n, fmt)) == 0
+    out = capsys.readouterr().out.encode("ascii")
+    assert hashlib.sha256(out).hexdigest() == LATTICE_SHA256[n, fmt]
+
+
+class _CountingStdout(io.StringIO):
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_main_writes_stdout_once(monkeypatch, fmt):
+    fake = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", fake)
+    assert main(_lattice_argv(3, fmt)) == 0
+    assert fake.writes == 1
+    assert hashlib.sha256(fake.getvalue().encode()).hexdigest() == LATTICE_SHA256[3, fmt]
+
+
+# --- the JSON writer ---------------------------------------------------------------
+
+_TEXT = st.text(
+    st.characters()
+    | st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", " ", "\xe9", "\U0001f600", "\ud800"])
+)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | _TEXT
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, children, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_json_writer_equals_json_dumps_indent_2(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_refuses_what_json_dumps_refuses():
+    for value in (Fraction(1, 2), {"a": [0, Fraction(1, 3)]}, {1, 2}):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            cli._json(value)
+
+
+# --- a reader that stops early ------------------------------------------------------
+
+
+def _env(unbuffered: bool) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_pipe_closed_mid_output_leaves_stderr_empty(fmt, unbuffered):
+    """The output (0.8 to 1.7 MB) is larger than a pipe buffer, so the reader's
+    close always lands before the write ends.  Through a buffered stdout the
+    broken pipe reaches Python and gives exit 1.  Through an unbuffered one
+    the kernel reports the bytes that did go through as a short write, which
+    Python's text layer does not check, so the exit code may also be 0."""
+    argv = [sys.executable, "-m", "sl2hc", *_lattice_argv(5, fmt)]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env(unbuffered))
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) in ((0, 1) if unbuffered else (1,))
+    assert first in (b"points:\n", b"{\n")
+    assert err == b""
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_stdout_closed_before_the_write_exits_1_silently(fmt, unbuffered):
+    """A short output stays in the stdout buffer until the flush; when that
+    fails, the flush at interpreter exit must not fail again."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        argv = [sys.executable, "-m", "sl2hc", "--format", fmt, "cg", "1", "1"]
+        proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=_env(unbuffered), timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
