@@ -15,6 +15,7 @@ fast.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import re
 import sys
@@ -432,6 +433,29 @@ def _json(obj) -> str:
     return encode(obj, "\n")
 
 
+def _write_stdout(text: str) -> None:
+    """Write all of ``text`` to stdout, or raise.
+
+    A buffered binary layer writes everything or raises.  Under
+    PYTHONUNBUFFERED the text layer writes through to a raw file and drops
+    the count of a short write (what a pipe takes before its reader closes
+    it), so there the bytes go to the raw file in a loop, which ends in
+    BrokenPipeError once the reader is gone (a non-blocking file that takes
+    nothing yet is asked again).  A stream without a binary layer, such as
+    io.StringIO, takes the text as it is.
+    """
+    out = sys.stdout
+    raw = getattr(out, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        out.write(text)
+        out.flush()
+        return
+    out.flush()
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[raw.write(data) or 0 :]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -456,8 +480,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         text = "\n".join([*lines, ""])
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        _write_stdout(text)
     except BrokenPipeError:  # as the Python docs' SIGPIPE note: silence the exit flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1

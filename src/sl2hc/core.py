@@ -134,6 +134,13 @@ def check_parity(eps: int) -> int:
     return eps
 
 
+def check_highest_weight(m: int) -> int:
+    """``m`` must be a nonnegative int (a bool is not one)."""
+    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+        raise ValueError(f"highest weight must be a nonnegative integer, got {m!r}")
+    return m
+
+
 def principal_is_irreducible(lam: Fraction, eps: int) -> bool:
     """The principal series with these parameters is irreducible.
 
@@ -149,8 +156,7 @@ class FinDim(Record):
     __slots__ = ("m",)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 0:
-            raise ValueError(f"highest weight must be a nonnegative integer, got {self.m!r}")
+        check_highest_weight(self.m)
 
 
 class DiscreteSeries(Record):

@@ -120,10 +120,13 @@ def char_poly(a: Matrix) -> list:
 
 def divide_out_root(poly: list, r) -> tuple:
     """Synthetic division of a monic polynomial by (t - r): (quotient, remainder)."""
-    out = [poly[0]]
-    for c in poly[1:]:
-        out.append(c + r * out[-1])
-    return out[:-1], out[-1]
+    out = []
+    acc = 0
+    for c in poly:
+        acc = acc * r + c
+        out.append(acc)
+    rem = out.pop()
+    return out, rem
 
 
 def root_multiplicity(poly: list, r) -> tuple:

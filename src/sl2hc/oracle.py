@@ -19,9 +19,10 @@ decomposition formulas.
 
 On the basis (a, b) of a weight space, ordered by b ascending, that matrix
 is tridiagonal.  ``casimir_report`` builds its three diagonals directly as
-integers under one scale (``casimir_band``), takes the characteristic
-polynomial by the continuant recurrence and Jordan sizes from the
-tridiagonal routines of ``linalg``.  The generic construction applying
+integers under one scale (``casimir_band``), scales the candidate
+eigenvalues to integers once, takes the characteristic polynomial by the
+continuant recurrence and Jordan sizes from the tridiagonal routines of
+``linalg``: no ``Fraction`` is touched per K-weight.  The generic construction applying
 Omega to free vectors (``casimir_matrix``), together with the dense
 Faddeev-LeVerrier and Bareiss routines, is the reference the tests compare
 it against.
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -39,6 +41,7 @@ from .core import (
     UnexpectedEigenvalueError,
     as_scalar,
     casimir_value,
+    check_highest_weight,
     check_parity,
     format_scalar,
     is_integer,
@@ -86,8 +89,7 @@ class FinDimRealization(Record):
     __slots__ = ("m",)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 0:
-            raise ValueError(f"highest weight must be a nonnegative integer, got {self.m!r}")
+        check_highest_weight(self.m)
 
     @property
     def lam(self) -> Fraction:
@@ -230,11 +232,14 @@ def casimir_band(lam: Scalar, eps: int, m: int, k: int) -> CasimirBand:
     check_parity(eps)
     if (k - eps - m) % 2 != 0:
         raise ValueError(f"no vectors at this K-weight: k={k}")
-    p, q = lam.numerator, lam.denominator
+    return CasimirBand(lam.denominator ** 2, *_diagonals(lam.numerator, lam.denominator, m, k))
+
+
+def _diagonals(p: int, q: int, m: int, k: int) -> tuple:
+    """``casimir_band``'s (diag, upper, lower) for lam = p/q."""
     bs = range(-m, m + 1, 2)
     base = p * p + q * q * ((m + 1) ** 2 - 1)
-    return CasimirBand(
-        q * q,
+    return (
         [base + 2 * q * q * (k - b) * b for b in bs],
         [-q * (p + q * (k - b + 1)) * (m + b) for b in bs[1:]],
         [q * (p - q * (k - b - 1)) * (b - m) for b in bs[:-1]],
@@ -302,24 +307,52 @@ def default_window(lam: Scalar, eps: int, m: int) -> tuple:
     return (-bound, bound)
 
 
-def casimir_report(lam: Scalar, eps: int, m: int, window: Optional[tuple] = None) -> CasimirReport:
-    """Exact Casimir eigenstructure of (principal series) (x) V(m) per K-weight."""
+def casimir_report(
+    lam: Scalar, eps: int, m: int, window: Optional[tuple] = None, candidates: Optional[tuple] = None
+) -> CasimirReport:
+    """Exact Casimir eigenstructure of (principal series) (x) V(m) per K-weight.
+
+    ``candidates`` are the possible eigenvalues, ascending; by default the
+    values (lam+m-2j)^2 of ``eigenvalue_candidates``.  ``verify_tensor``
+    passes the same tuple, so that its predictions hold the very objects
+    the spectra report.
+    """
     lam = as_scalar(lam)
     check_parity(eps)
-    if m < 0 or not isinstance(m, int):
-        raise ValueError(f"m must be a nonnegative integer, got {m!r}")
+    check_highest_weight(m)
     if window is None:
         window = default_window(lam, eps, m)
     lo, hi = window
     if lo > hi:
         raise ValueError("window must be nonempty")
-    candidates = sorted({(lam + m - 2 * j) ** 2 for j in range(m + 1)})
     parity = (eps + m) % 2
     start = lo if (lo - parity) % 2 == 0 else lo + 1
     if start > hi:
         raise ValueError(f"window [{lo},{hi}] holds no K-weight k = eps + m (mod 2)")
-    entries = [_weight_spectrum(k, casimir_band(lam, eps, m, k), candidates) for k in range(start, hi + 1, 2)]
-    return CasimirReport(lam, eps, m, (lo, hi), tuple(entries))
+    if candidates is None:
+        candidates = eigenvalue_candidates(lam, m)
+    p, q = lam.numerator, lam.denominator
+    scaled = _scaled(candidates, q * q)
+    entries = tuple(_spectrum(k, *_diagonals(p, q, m, k), scaled) for k in range(start, hi + 1, 2))
+    return CasimirReport(lam, eps, m, (lo, hi), entries)
+
+
+def eigenvalue_candidates(lam: Fraction, m: int) -> tuple:
+    """The distinct values (lam+m-2j)^2, j = 0..m, ascending: every Casimir
+    eigenvalue on I(lam, eps) (x) V(m) is one of them.  For lam = p/q they
+    are (p + q(m-2j))^2 / q^2, ordered by the integer numerators."""
+    p, q = lam.numerator, lam.denominator
+    return tuple(Fraction(s, q * q) for s in sorted({(p + q * (m - 2 * j)) ** 2 for j in range(m + 1)}))
+
+
+def _scaled(candidates, scale: int) -> list:
+    """``(c, c * scale)`` pairs; each scaled candidate must be an integer."""
+    pairs = []
+    for c in candidates:
+        cs = c * scale
+        assert cs.denominator == 1
+        pairs.append((c, cs.numerator))
+    return pairs
 
 
 def _weight_spectrum(k: int, band, candidates) -> WeightSpectrum:
@@ -332,17 +365,19 @@ def _weight_spectrum(k: int, band, candidates) -> WeightSpectrum:
     if not isinstance(band, CasimirBand):
         mint, scale = clear_denominators(band, extra=candidates)
         band = CasimirBand(scale, *tridiagonal_of(mint))
-    scale, diag, upper, lower = band
+    return _spectrum(k, band.diag, band.upper, band.lower, _scaled(candidates, band.scale))
+
+
+def _spectrum(k: int, diag: list, upper: list, lower: list, scaled: list) -> WeightSpectrum:
+    """``_weight_spectrum`` on integer diagonals, with the candidates given as
+    ``(value, scaled value)`` pairs: only integers meet here."""
     n = len(diag)
     eigen = []
     remaining = tridiagonal_char_poly(diag, upper, lower)
-    for c in candidates:
-        cs = c * scale
-        assert cs.denominator == 1
-        mult, remaining = root_multiplicity(remaining, int(cs))
+    for c, cs in scaled:
+        mult, remaining = root_multiplicity(remaining, cs)
         if mult:
-            sizes = tridiagonal_jordan_block_sizes(diag, upper, lower, int(cs), mult)
-            eigen.append((c, mult, sizes))
+            eigen.append((c, mult, tridiagonal_jordan_block_sizes(diag, upper, lower, cs, mult)))
     if len(remaining) != 1:
         raise UnexpectedEigenvalueError(
             f"unexpected eigenvalue at K-weight {k}: char poly factor {remaining} "
@@ -385,43 +420,49 @@ def verify_tensor(lam: Scalar, eps: int, m: int, window: Optional[tuple] = None)
 
     The prediction is assembled from the tensor decomposition's
     semisimplification: each factor contributes its K-type indicator at its
-    Casimir value.  Disagreement is a verdict, not an error.
+    Casimir value.  The factors are grouped by value once, onto the
+    report's own candidate objects, so that at each weight the predicted
+    ``((value, mult), ...)`` is built in value order and compared with the
+    observed pairs mostly by identity.  Disagreement is a verdict, not an
+    error.
     """
     lam = as_scalar(lam)
     check_parity(eps)
     summands = ps_tensor(lam, eps, m)
     factors = decomposition_semisimplification(summands)
-    parts = [(casimir_value(cls), ktype_function(cls), mult) for cls, mult in factors.items()]
-    report = casimir_report(lam, eps, m, window)
+    candidates = eigenvalue_candidates(lam, m)
+    report = casimir_report(lam, eps, m, window, candidates)
+
+    shared = {c: c for c in candidates}  # a value -> the report's object for it
+    by_value: dict = {}
+    for cls, mult in factors.items():
+        value = casimir_value(cls)
+        by_value.setdefault(shared.get(value, value), []).append((ktype_function(cls), mult))
+    groups = sorted(by_value.items(), key=itemgetter(0))
+    # every block value is a candidate, so a spectrum holds it as that very object
+    blocks = [
+        (shared.get(v, v), set())
+        for v in sorted({abs(block_parameter(s.sub)) ** 2 for s in summands if isinstance(s, LengthTwo)})
+    ]
 
     entries = []
-    block_values = sorted(
-        {abs(block_parameter(s.sub)) ** 2 for s in summands if isinstance(s, LengthTwo)}
-    )
-    block_profiles: dict = {v: set() for v in block_values}
     for ws in report.entries:
-        predicted: dict = {}
-        for value, ktf, mult in parts:
-            count = mult * ktf.value(ws.k)
+        k = ws.k
+        predicted = []
+        for value, parts in groups:
+            count = 0
+            for ktf, mult in parts:
+                count += mult * ktf.value(k)
             if count:
-                predicted[value] = predicted.get(value, 0) + count
-        observed = {value: mult for value, mult, _ in ws.eigenvalues}
-        match = observed == predicted
-        entries.append(
-            VerifyEntry(
-                ws.k,
-                ws.dim,
-                ws.eigenvalues,
-                tuple(sorted(predicted.items())),
-                match,
-            )
-        )
-        for value, mult, sizes in ws.eigenvalues:
-            if value in block_profiles:
-                block_profiles[value].add(sizes)
-    observations = tuple(
-        BlockObservation(v, tuple(sorted(block_profiles[v]))) for v in block_values
-    )
+                predicted.append((value, count))
+        predicted = tuple(predicted)
+        observed = tuple([(value, mult) for value, mult, _ in ws.eigenvalues])
+        entries.append(VerifyEntry(k, ws.dim, ws.eigenvalues, predicted, observed == predicted))
+        for value, _, sizes in ws.eigenvalues:
+            for block_value, profiles in blocks:
+                if value is block_value:
+                    profiles.add(sizes)
+    observations = tuple(BlockObservation(v, tuple(sorted(profiles))) for v, profiles in blocks)
     passed = all(e.match for e in entries)
     return VerificationVerdict(lam, eps, m, report.window, tuple(entries), observations, passed)
 

@@ -22,6 +22,7 @@ from .core import (
     VirtualModule,
     as_scalar,
     casimir_value,
+    check_highest_weight,
     check_parity,
     format_class,
     format_scalar,
@@ -186,10 +187,7 @@ def summand_semisimplification(s: Summand) -> VirtualModule:
 
 
 def decomposition_semisimplification(summands: list) -> VirtualModule:
-    out = VirtualModule.zero()
-    for s in summands:
-        out = out + summand_semisimplification(s)
-    return out
+    return VirtualModule.of(*(c for s in summands for c in _summand_factors(s)))
 
 
 def decomposition_to_dict(summands: list) -> dict:
@@ -213,8 +211,8 @@ def decomposition_to_dict(summands: list) -> dict:
 
 def clebsch_gordan(m1: int, m2: int) -> VirtualModule:
     """V(m1) (x) V(m2) = V(m1+m2) + V(m1+m2-2) + ... + V(|m1-m2|)."""
-    _check_nonneg(m1)
-    _check_nonneg(m2)
+    check_highest_weight(m1)
+    check_highest_weight(m2)
     return VirtualModule.of(*(FinDim(m1 + m2 - 2 * j) for j in range(min(m1, m2) + 1)))
 
 
@@ -225,8 +223,8 @@ def weyl_signed_tensor(m1: int, m2: int) -> VirtualModule:
     dominant translate of m1+nu+1, with the singular point dropped; the
     signed terms cancel down to the Clebsch-Gordan staircase.
     """
-    _check_nonneg(m1)
-    _check_nonneg(m2)
+    check_highest_weight(m1)
+    check_highest_weight(m2)
     acc: dict = {}
     for nu in range(-m2, m2 + 1, 2):
         t = m1 + nu + 1
@@ -238,10 +236,6 @@ def weyl_signed_tensor(m1: int, m2: int) -> VirtualModule:
     if not out.is_effective:
         raise AssertionError("signed sum failed to cancel")
     return out
-
-
-def _check_nonneg(m: int) -> None:
-    FinDim(m)  # raises the ValueError for a bad highest weight
 
 
 # --- principal series tensor finite-dimensional ------------------------------
@@ -257,7 +251,7 @@ def ps_tensor(lam: Scalar, eps: int, m: int) -> list:
     """
     lam = as_scalar(lam)
     check_parity(eps)
-    _check_nonneg(m)
+    check_highest_weight(m)
     eps2 = (eps + m) % 2
     out: list = []
     used: set = set()
@@ -295,8 +289,8 @@ def ds_tensor(sign: int, l: int, m: int) -> VirtualModule:
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    _check_nonneg(l)
-    _check_nonneg(m)
+    check_highest_weight(l)
+    check_highest_weight(m)
     if sign < 0:
         return VirtualModule([(_mirror_class(c), n) for c, n in ds_tensor(1, l, m).items()])
 
@@ -358,7 +352,7 @@ def tensor_with_finite(x: IrreducibleClass, m: int) -> VirtualModule:
 
 def grothendieck_tensor(x: VirtualModule, m: int) -> VirtualModule:
     """Linear extension of - (x) V(m) to integer combinations of classes."""
-    _check_nonneg(m)
+    check_highest_weight(m)
     out = VirtualModule.zero()
     for cls, mult in x.items():
         out = out + mult * tensor_with_finite(cls, m)

@@ -3,11 +3,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sl2hc.core import FinDim, casimir_value, ktype_function
 from sl2hc.linalg import char_poly, clear_denominators, jordan_block_sizes, root_multiplicity
 from sl2hc.oracle import (
+    BlockObservation,
     FinDimRealization,
     PrincipalSeriesRealization,
     UnexpectedEigenvalueError,
+    VerificationVerdict,
+    VerifyEntry,
     casimir_band,
     casimir_matrix,
     casimir_on_symmetric_power,
@@ -19,6 +23,7 @@ from sl2hc.oracle import (
     verify_tensor,
     _weight_spectrum,
 )
+from sl2hc.tensor import LengthTwo, block_parameter, decomposition_semisimplification, ps_tensor
 
 
 def test_principal_series_realization_basics():
@@ -241,3 +246,91 @@ def test_casimir_report_refuses_a_window_without_weights():
 def test_verify_tensor_large_highest_weights():
     assert verify_tensor(Fraction(7, 5), 0, 48).passed
     assert verify_tensor(3, 0, 32).passed
+
+
+@pytest.mark.parametrize("bad", ["2", 2.0, True, False, -1])
+def test_highest_weight_checked_as_findim_checks_it(bad):
+    with pytest.raises(ValueError) as expected:
+        FinDim(bad)
+    with pytest.raises(ValueError) as report:
+        casimir_report(1, 0, bad)
+    with pytest.raises(ValueError) as realization:
+        FinDimRealization(bad)
+    assert str(report.value) == str(realization.value) == str(expected.value)
+
+
+def _reference_verdict(lam, eps, m, window):
+    """The verdict ``verify_tensor`` must give, built the plain way: spectra
+    of the dense Casimir matrices, and a prediction keyed by Fraction values."""
+    summands = ps_tensor(lam, eps, m)
+    parts = [
+        (casimir_value(cls), ktype_function(cls), mult)
+        for cls, mult in decomposition_semisimplification(summands).items()
+    ]
+    candidates = sorted({(lam + m - 2 * j) ** 2 for j in range(m + 1)})
+    lo, hi = window or default_window(lam, eps, m)
+    left, right = PrincipalSeriesRealization(lam, eps), FinDimRealization(m)
+    block_values = sorted({abs(block_parameter(s.sub)) ** 2 for s in summands if isinstance(s, LengthTwo)})
+    profiles = {v: set() for v in block_values}
+    entries = []
+    for k in range(lo, hi + 1):
+        if (k - eps - m) % 2:
+            continue
+        ws = _weight_spectrum(k, casimir_matrix(left, right, k), candidates)
+        predicted = {}
+        for value, ktf, mult in parts:
+            count = mult * ktf.value(k)
+            if count:
+                predicted[value] = predicted.get(value, 0) + count
+        observed = {value: mult for value, mult, _ in ws.eigenvalues}
+        entries.append(VerifyEntry(k, ws.dim, ws.eigenvalues, tuple(sorted(predicted.items())), observed == predicted))
+        for value, _, sizes in ws.eigenvalues:
+            if value in profiles:
+                profiles[value].add(sizes)
+    blocks = tuple(BlockObservation(v, tuple(sorted(profiles[v]))) for v in block_values)
+    return VerificationVerdict(lam, eps, m, (lo, hi), tuple(entries), blocks, all(e.match for e in entries))
+
+
+@st.composite
+def _verify_cases(draw):
+    """(lam, eps, m, window): lam = p/q, and a window that holds a weight or none."""
+    q = draw(st.sampled_from((1, 2, 3, 5)))
+    lam = Fraction(draw(st.integers(min_value=-12, max_value=12)), q)
+    eps = draw(st.integers(min_value=0, max_value=1))
+    m = draw(st.integers(min_value=0, max_value=5))
+    window = None
+    if draw(st.booleans()):
+        k = eps + m + 2 * draw(st.integers(min_value=-12, max_value=12))
+        window = (k - draw(st.integers(min_value=0, max_value=9)), k + draw(st.integers(min_value=0, max_value=9)))
+    return lam, eps, m, window
+
+
+@given(_verify_cases())
+@settings(max_examples=60, deadline=None)
+def test_verify_tensor_equals_dense_fraction_keyed_reference(case):
+    verdict = verify_tensor(*case)
+    assert verdict == _reference_verdict(*case)
+    assert verdict.passed
+
+
+@pytest.mark.parametrize(
+    "argv, drop, line",
+    [
+        # recorded from the Fraction-keyed verify_tensor
+        (["verify", "1/2", "0", "1"], -1, "FAIL (k=-9: predicted 9/4:1; observed 1/4:1, 9/4:1)"),
+        (["verify", "2", "1", "3"], 0, "FAIL (k=-12: predicted 1:2, 9:1; observed 1:2, 9:1, 25:1)"),
+        (["verify", "0", "0", "2"], 0, "FAIL (k=-8: predicted 0:1; observed 0:1, 4:2)"),
+    ],
+)
+def test_verify_fails_on_a_decomposition_missing_a_summand(monkeypatch, capsys, argv, drop, line):
+    from sl2hc import oracle
+    from sl2hc.cli import main
+
+    def short_ps_tensor(lam, eps, m):
+        summands = ps_tensor(lam, eps, m)
+        del summands[drop]
+        return summands
+
+    monkeypatch.setattr(oracle, "ps_tensor", short_ps_tensor)
+    assert main(argv) == 3
+    assert capsys.readouterr().out == line + "\n"
