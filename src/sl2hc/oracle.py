@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import itemgetter
-from typing import NamedTuple, Optional
 
 from .core import (
     Record,
@@ -184,11 +183,11 @@ def _omega(space, vec: dict) -> dict:
     return out
 
 
-def _space_for(a: Realization, b: Optional[FinDimRealization]):
+def _space_for(a: Realization, b: FinDimRealization | None):
     return _SingleSpace(a) if b is None else _TensorSpace(a, b)
 
 
-def casimir_matrix(a: Realization, b: Optional[FinDimRealization], k: int) -> list:
+def casimir_matrix(a: Realization, b: FinDimRealization | None, k: int) -> list:
     """Exact matrix of Omega on the K-weight-k subspace (columns are images)."""
     space = _space_for(a, b)
     basis = space.basis_at(k)
@@ -206,13 +205,11 @@ def casimir_matrix(a: Realization, b: Optional[FinDimRealization], k: int) -> li
     return mat
 
 
-class CasimirBand(NamedTuple):
-    """A tridiagonal rational matrix as ``scale`` times integer diagonals."""
+class CasimirBand(Record):
+    """A tridiagonal rational matrix as ``scale`` times integer diagonals:
+    ``diag``, ``upper`` (entries (i, i+1)) and ``lower`` (entries (i+1, i))."""
 
-    scale: int
-    diag: list
-    upper: list  # entry (i, i+1)
-    lower: list  # entry (i+1, i)
+    __slots__ = ("scale", "diag", "upper", "lower")
 
 
 def casimir_band(lam: Scalar, eps: int, m: int, k: int) -> CasimirBand:
@@ -308,7 +305,7 @@ def default_window(lam: Scalar, eps: int, m: int) -> tuple:
 
 
 def casimir_report(
-    lam: Scalar, eps: int, m: int, window: Optional[tuple] = None, candidates: Optional[tuple] = None
+    lam: Scalar, eps: int, m: int, window: tuple | None = None, candidates: tuple | None = None
 ) -> CasimirReport:
     """Exact Casimir eigenstructure of (principal series) (x) V(m) per K-weight.
 
@@ -411,11 +408,11 @@ class VerificationVerdict(Record):
 
     __slots__ = ("lam", "eps", "m", "window", "entries", "block_observations", "passed")
 
-    def first_mismatch(self) -> Optional[VerifyEntry]:
+    def first_mismatch(self) -> VerifyEntry | None:
         return next((e for e in self.entries if not e.match), None)
 
 
-def verify_tensor(lam: Scalar, eps: int, m: int, window: Optional[tuple] = None) -> VerificationVerdict:
+def verify_tensor(lam: Scalar, eps: int, m: int, window: tuple | None = None) -> VerificationVerdict:
     """Compare closed-form Casimir multiplicities against the oracle per K-weight.
 
     The prediction is assembled from the tensor decomposition's

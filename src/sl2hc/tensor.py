@@ -4,7 +4,7 @@ Everything here is exact combinatorics on class parameters: Clebsch-Gordan
 for two finite-dimensional modules, the signed reflection form of the same
 sum, composition structure of principal series, principal series tensored
 with V(m) (including the self-extension blocks that appear at integral
-parameters), discrete series tensored with V(m) via support peeling, and
+parameters), discrete series tensored with V(m) by parameter shifts, and
 the induced operation on integer combinations of classes.
 """
 
@@ -21,13 +21,13 @@ from .core import (
     Scalar,
     VirtualModule,
     as_scalar,
-    casimir_value,
     check_highest_weight,
     check_parity,
     format_class,
     format_scalar,
-    is_integer,
+    inf_char,
     ktype_function,
+    module_ktype_function,
     principal_is_irreducible,
 )
 
@@ -244,28 +244,29 @@ def weyl_signed_tensor(m1: int, m2: int) -> VirtualModule:
 def ps_tensor(lam: Scalar, eps: int, m: int) -> list:
     """Direct summands of (principal series at (lam, eps)) (x) V(m).
 
-    The m+1 parameter shifts lam+m-2j split into single blocks, except that
-    shifts j and j' with j + j' = lam + m land on dual parameters and glue
-    into one LengthTwo block.  Reducible parameters are accepted; their
-    blocks stay whole as ReducibleSeries.
+    Tensoring with V(m) moves the parameter through the m+1 shifts
+    t = lam+m-2j, j = 0..m, in that order.  A shift t != 0 whose negative
+    -t is also a shift lands on the dual parameter of that partner: the two
+    glue into one LengthTwo block, placed at t > 0 and skipped at t < 0.
+    Every other shift is a single block.  Reducible parameters are
+    accepted; their blocks stay whole as ReducibleSeries.
     """
     lam = as_scalar(lam)
     check_parity(eps)
     check_highest_weight(m)
     eps2 = (eps + m) % 2
+    shifts = [lam + (m - 2 * j) for j in range(m + 1)]
+    # Each shift differs from lam by an integer, so all have lam's denominator
+    # and compare by numerators.  No integrality test: if t = lam+m-2j and
+    # -t = lam+m-2j' are both shifts, then 2t = 2(j'-j), so t is an integer.
+    present = {t.numerator for t in shifts}
     out: list = []
-    used: set = set()
-    for j in range(m + 1):
-        if j in used:
-            continue
-        partner = lam + m - j
-        if is_integer(partner) and j < partner <= m:
-            jp = int(partner)
-            used.add(jp)
-            c = lam + m - 2 * j  # > 0 since j < jp
-            out.append(LengthTwo(_series_block(c, eps2), _series_block(-c, eps2)))
+    for t in shifts:
+        if t and -t.numerator in present:
+            if t > 0:
+                out.append(LengthTwo(_series_block(t, eps2), _series_block(-t, eps2)))
         else:
-            out.append(Irr(_series_block(lam + m - 2 * j, eps2)))
+            out.append(Irr(_series_block(t, eps2)))
     return out
 
 
@@ -279,61 +280,23 @@ def _series_block(lam: Fraction, eps: int) -> SeriesBlock:
 
 
 def ds_tensor(sign: int, l: int, m: int) -> VirtualModule:
-    """D(sign, l) (x) V(m), peeled off its exact K-type function.
+    """D(sign, l) (x) V(m) by the parameter shifts t = l+m-2j, j = 0..m.
 
-    The K-type function of the product is the convolution of a half-line
-    indicator with a finite window.  Finite-dimensional factors are the only
-    ones that can cover support on the side opposite to ``sign``; peeling
-    them off from that side leaves a staircase which is a sum of discrete
-    series of the same sign.
+    The K-types of D(+1, l) are the half-line k >= l+1 of its parity, and
+    those of the product are the m+1 half-lines k >= t+1.  For t >= 0 such
+    a half-line is D(+1, t); for t < 0 it is V(-t-1) followed by D(+1, -t).
+    D(-1, l) is the mirror image.  Every factor has Casimir value t^2.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     check_highest_weight(l)
     check_highest_weight(m)
-    if sign < 0:
-        return VirtualModule([(_mirror_class(c), n) for c, n in ds_tensor(1, l, m).items()])
-
-    f = ktype_function(DiscreteSeries(1, l)).convolve(ktype_function(FinDim(m)))
-    lo = l + 1 - m  # leftmost possible support point
-    hi = l + 1 + m  # support is constant m+1 beyond this point
-    fds: list = []  # (n, mult) for FinDim(n)
-    dss: list = []  # (p, mult) for DiscreteSeries(+1, p)
-    k = lo
-    while k <= 0:
-        r = f.value(k) - sum(mult for n, mult in fds if -n <= k <= n)
-        if r < 0:
-            raise AssertionError("peeling produced a negative residual")
-        if r:
-            fds.append((-k, r))
-        k += 2
-    while k <= hi:
-        r = (
-            f.value(k)
-            - sum(mult for n, mult in fds if -n <= k <= n)
-            - sum(mult for p, mult in dss if k >= p + 1)
-        )
-        if r < 0:
-            raise AssertionError("peeling produced a negative residual")
-        if r:
-            dss.append((k - 1, r))
-        k += 2
-    if sum(mult for _, mult in dss) != f.tail_right:
-        raise AssertionError("peeling failed to exhaust the right tail")
-    out = VirtualModule(
-        [(FinDim(n), mult) for n, mult in fds] + [(DiscreteSeries(1, p), mult) for p, mult in dss]
-    )
-    allowed = {Fraction(l + m - 2 * j) ** 2 for j in range(m + 1)}
-    for cls, _ in out.items():
-        if casimir_value(cls) not in allowed:
-            raise AssertionError(f"factor {format_class(cls)} outside the Casimir shift set")
-    return out
-
-
-def _mirror_class(c: IrreducibleClass) -> IrreducibleClass:
-    if isinstance(c, DiscreteSeries):
-        return DiscreteSeries(-c.sign, c.l)
-    return c
+    classes: list = []
+    for t in range(l + m, l - m - 1, -2):
+        classes.append(DiscreteSeries(sign, abs(t)))
+        if t < 0:
+            classes.append(FinDim(-t - 1))
+    return VirtualModule.of(*classes)
 
 
 # --- Grothendieck-level tensor and the primary decomposition ------------------
@@ -353,10 +316,9 @@ def tensor_with_finite(x: IrreducibleClass, m: int) -> VirtualModule:
 def grothendieck_tensor(x: VirtualModule, m: int) -> VirtualModule:
     """Linear extension of - (x) V(m) to integer combinations of classes."""
     check_highest_weight(m)
-    out = VirtualModule.zero()
-    for cls, mult in x.items():
-        out = out + mult * tensor_with_finite(cls, m)
-    return out
+    return VirtualModule(
+        [(c, mult * n) for cls, mult in x.items() for c, n in tensor_with_finite(cls, m).items()]
+    )
 
 
 def primary_split(x: VirtualModule) -> dict:
@@ -364,8 +326,6 @@ def primary_split(x: VirtualModule) -> dict:
 
     Returns a dict keyed by InfChar, ordered by increasing character value.
     """
-    from .core import inf_char
-
     if not x.is_effective:
         raise ValueError("primary decomposition requires nonnegative multiplicities")
     buckets: dict = {}
@@ -379,8 +339,6 @@ def primary_split(x: VirtualModule) -> dict:
 
 def ktype_conservation_holds(x: VirtualModule, m: int, product: VirtualModule) -> bool:
     """The product's K-type function equals the convolution of the inputs'."""
-    from .core import module_ktype_function
-
     lhs = module_ktype_function(product)
     rhs = module_ktype_function(x).convolve(ktype_function(FinDim(m)))
     return lhs == rhs

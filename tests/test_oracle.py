@@ -236,6 +236,19 @@ def test_casimir_band_requires_a_vector():
         casimir_band(Fraction(1, 2), 0, 1, 2)
 
 
+def test_casimir_band_is_a_positional_record():
+    from sl2hc.core import Record
+    from sl2hc.oracle import CasimirBand
+
+    band = casimir_band(Fraction(1, 2), 0, 2, 0)
+    assert isinstance(band, Record) and not isinstance(band, tuple)
+    assert CasimirBand._fields == ("scale", "diag", "upper", "lower")
+    assert band == CasimirBand(band.scale, band.diag, band.upper, band.lower)
+    assert band.scale == 4 and len(band.diag) == 3 and len(band.upper) == len(band.lower) == 2
+    with pytest.raises(AttributeError):
+        band.scale = 1
+
+
 def test_casimir_report_refuses_a_window_without_weights():
     with pytest.raises(ValueError):
         casimir_report(Fraction(1, 2), 0, 1, (2, 2))

@@ -165,3 +165,11 @@ def test_no_source_module_imports_dataclasses():
                 assert all(a.name.split(".")[0] != "dataclasses" for a in node.names), path.name
             elif isinstance(node, ast.ImportFrom):
                 assert node.module != "dataclasses", path.name
+
+
+def test_no_source_module_imports_typing():
+    for path in sorted((SRC / "sl2hc").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+        imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module]
+        assert "typing" not in {name.split(".")[0] for name in imported}, path.name

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from sl2hc.core import (
     PrincipalIrr,
     VirtualModule,
     casimir_value,
+    format_virtual_module,
     ktype_function,
     module_ktype_function,
 )
@@ -397,3 +399,66 @@ def test_summand_rendering_pinned_for_all_four_shapes(lam, eps, m, text, rendere
     got = decomposition_to_dict(summands)
     assert got == rendered
     assert list(got["semisimplification"]) == list(rendered["semisimplification"])
+
+
+# --- the shift rules pinned to the outputs they replaced ---------------------------
+
+# sha256 of "l m: <format_virtual_module(ds_tensor(sign, l, m))>\n" over 0 <= l, m <= 24,
+# recorded from the K-type peeling that ds_tensor used before the shift rule
+DS_TENSOR_SHA256 = {
+    1: "8852e6462c57865234a9048f0f56275f8092e77e0f8e9e36e0ea2a5baaffd14d",
+    -1: "27d76a3216482cf5fe6e34defb2230003a73ab08146c336dd3b125fb8f476dcc",
+}
+
+# sha256 of "p/q m: <summands joined by ' (+) '>\n" over |p| <= 30, 0 <= m <= 12,
+# recorded from the partner-pairing loop that ps_tensor used before the shift rule
+PS_TENSOR_SHA256 = {
+    (1, 0): "01e0cc5f93c3558fa2a9744a67290e91358285fc1c595b0311dc28ca677df1e3",
+    (1, 1): "1e220e1ffddfb4c1164e32cc9c20f4cf95ba978ab5dfa0c5ef2a691130995440",
+    (2, 0): "4d98e59cdfeac4c6a4534a6be37eba31c44feea83ab82462053cd0158a9cdca3",
+    (2, 1): "685fd45fde95d4e11da09749991705ab5c4256bc55a51fa3563eaa7e6daff954",
+    (3, 0): "ab2caa005c9319e627d6cac4265ddcde47ebf1495adbcfb3b97993cc4c0447cd",
+    (3, 1): "0e60e761b9eab9bd7aed986bb70937bc9eda717a6cdeea07873e43f1bf274210",
+    (5, 0): "0e13012a0a918cc139085d7579dd4e96ff148f0a9104a15f77d3435a878f34d1",
+    (5, 1): "c0e4c36f5a967c6f5d07ca3a50ea62cc0aaee4a5441337006c183fd6a7917cc6",
+}
+
+
+def _sha256(lines) -> str:
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_ds_tensor_output_is_pinned(sign):
+    lines = (f"{l} {m}: {format_virtual_module(ds_tensor(sign, l, m))}\n" for l in range(25) for m in range(25))
+    assert _sha256(lines) == DS_TENSOR_SHA256[sign]
+
+
+@pytest.mark.parametrize("q, eps", sorted(PS_TENSOR_SHA256))
+def test_ps_tensor_output_is_pinned(q, eps):
+    lines = (
+        f"{p}/{q} {m}: {' (+) '.join(map(format_summand, ps_tensor(Fraction(p, q), eps, m)))}\n"
+        for p in range(-30, 31)
+        for m in range(13)
+    )
+    assert _sha256(lines) == PS_TENSOR_SHA256[q, eps]
+
+
+def test_ds_tensor_conserves_ktypes_and_casimir_shifts_to_24():
+    for sign in (1, -1):
+        for l in range(25):
+            for m in range(25):
+                product = ds_tensor(sign, l, m)
+                assert ktype_conservation_holds(VirtualModule.of(DiscreteSeries(sign, l)), m, product)
+                shifts = {Fraction((l + m - 2 * j) ** 2) for j in range(m + 1)}
+                assert {casimir_value(cls) for cls, _ in product.items()} <= shifts, (sign, l, m)
+
+
+def test_grothendieck_tensor_of_signed_combinations():
+    x = VirtualModule([(Dp(2), 2), (V(1), -3), (I(Fraction(1, 3), 0), -1), (Dm(0), 1)])
+    for m in range(5):
+        expected = VirtualModule.zero()
+        for cls, mult in x.items():
+            expected = expected + mult * tensor_with_finite(cls, m)
+        assert grothendieck_tensor(x, m) == expected
+        assert grothendieck_tensor(-x, m) == -expected
