@@ -129,7 +129,8 @@ def format_scalar(x: Fraction) -> str:
 
 
 def check_parity(eps: int) -> int:
-    if eps not in (0, 1):
+    """``eps`` must be the int 0 or 1 (a bool is not one)."""
+    if not isinstance(eps, int) or isinstance(eps, bool) or eps not in (0, 1):
         raise ValueError(f"parity must be 0 or 1, got {eps!r}")
     return eps
 
@@ -169,7 +170,7 @@ class DiscreteSeries(Record):
     __slots__ = ("sign", "l")
 
     def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
+        if not isinstance(self.sign, int) or isinstance(self.sign, bool) or self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
         if not isinstance(self.l, int) or isinstance(self.l, bool) or self.l < 0:
             raise ValueError(f"discrete series parameter must be a nonnegative integer, got {self.l!r}")

@@ -4,15 +4,19 @@ The compact-picture action on a K-weight basis {w_k},
 
     H'.w_k = k w_k,   E'.w_k = (lam+k+1)/2 w_{k+2},   F'.w_k = (lam-k+1)/2 w_{k-2},
 
-realizes a principal series for any rational lam, and the finite-dimensional
-module V(m) as the window |k| <= m at lam = -(m+1) (both ladder coefficients
-vanish at the window edges).  The Casimir element
+realizes a principal series for any rational lam.  A ``Ladder`` is this
+action cut to a window lo <= k <= hi, each bound open (``None``) or placed
+where a ladder coefficient vanishes.  One record thus covers four shapes:
+the principal series I(lam, eps) (no bound), V(m) (the window |k| <= m at
+lam = -(m+1)), and D+(l) and D-(l) (one bound at lam = l).
+``PrincipalSeriesRealization`` and ``FinDimRealization`` are constructors
+of the first two.  The Casimir element
 
     Omega = H'^2 + 1 + 2 E'F' + 2 F'E'
 
 acts on a tensor product through the coproduct g -> g(x)1 + 1(x)g and
 preserves each total K-weight, so its matrix on the (finite-dimensional)
-weight-k subspace of (principal series) (x) V(m) is exactly computable.
+weight-k subspace of (ladder) (x) V(m) is exactly computable.
 Comparing its generalized eigenvalue multiplicities with the closed-form
 prediction is a genuinely independent check: nothing here consults the
 decomposition formulas.
@@ -22,10 +26,11 @@ is tridiagonal.  ``casimir_report`` builds its three diagonals directly as
 integers under one scale (``casimir_band``), scales the candidate
 eigenvalues to integers once, takes the characteristic polynomial by the
 continuant recurrence and Jordan sizes from the tridiagonal routines of
-``linalg``: no ``Fraction`` is touched per K-weight.  The generic construction applying
-Omega to free vectors (``casimir_matrix``), together with the dense
-Faddeev-LeVerrier and Bareiss routines, is the reference the tests compare
-it against.
+``linalg``: no ``Fraction`` is touched per K-weight.  The generic
+construction applying Omega to free vectors of one Leibniz space
+(``casimir_matrix``; a single module is taken as its product with V(0)),
+together with the dense Faddeev-LeVerrier and Bareiss routines, is the
+reference the tests compare it against.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from .core import (
     check_highest_weight,
     check_parity,
     format_scalar,
-    is_integer,
     ktype_function,
 )
 from .linalg import (
@@ -59,17 +63,25 @@ from .tensor import LengthTwo, block_parameter, decomposition_semisimplification
 # --- realizations ------------------------------------------------------------
 
 
-class PrincipalSeriesRealization(Record):
-    """Principal series on the K-weight basis {w_k : k = eps mod 2}."""
+class Ladder(Record):
+    """The K-weight ladder of I(lam, eps), cut to the window lo <= k <= hi.
 
-    __slots__ = ("lam", "eps")
+    A bound of ``None`` leaves that side open.  A bound may sit only where
+    the ladder coefficient leaving the window vanishes, so the window is a
+    submodule: no bound is the principal series, both bounds V(m), and
+    ``lo = l+1`` or ``hi = -l-1`` at lam = l the discrete series D+(l) or
+    D-(l).
+    """
+
+    __slots__ = ("lam", "eps", "lo", "hi")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lam", as_scalar(self.lam))
         check_parity(self.eps)
 
-    def has_weight(self, k: int) -> bool:
-        return (k - self.eps) % 2 == 0
+    def has_weight(self, k: Scalar) -> bool:
+        lo, hi = self.lo, self.hi
+        return (k - self.eps) % 2 == 0 and (lo is None or lo <= k) and (hi is None or k <= hi)
 
     def e_coeff(self, k: int) -> Fraction:
         return (self.lam + k + 1) / 2
@@ -78,72 +90,30 @@ class PrincipalSeriesRealization(Record):
         return (self.lam - k + 1) / 2
 
 
-class FinDimRealization(Record):
-    """V(m) as the weight window |k| <= m of the ladder at lam = -(m+1).
-
-    The raising coefficient vanishes at k = m and the lowering one at
-    k = -m, so the window is closed under the action.
-    """
-
-    __slots__ = ("m",)
-
-    def __post_init__(self) -> None:
-        check_highest_weight(self.m)
-
-    @property
-    def lam(self) -> Fraction:
-        return Fraction(-(self.m + 1))
-
-    def has_weight(self, k: int) -> bool:
-        return abs(k) <= self.m and (k - self.m) % 2 == 0
-
-    def e_coeff(self, k: int) -> Fraction:
-        return (self.lam + k + 1) / 2
-
-    def f_coeff(self, k: int) -> Fraction:
-        return (self.lam - k + 1) / 2
+def PrincipalSeriesRealization(lam: Scalar, eps: int) -> Ladder:
+    """Principal series on the K-weight basis {w_k : k = eps mod 2}."""
+    return Ladder(lam, eps, None, None)
 
 
-Realization = PrincipalSeriesRealization | FinDimRealization
-
-
-class _SingleSpace:
-    """Free vectors {k: coeff} over one realization."""
-
-    def __init__(self, factor: Realization) -> None:
-        self.factor = factor
-
-    def basis_at(self, k: int) -> list:
-        return [k] if self.factor.has_weight(k) else []
-
-    def apply(self, gen: str, vec: dict) -> dict:
-        out: dict = {}
-        r = self.factor
-        for k, c in vec.items():
-            if gen == "H":
-                _acc(out, k, c * k)
-            elif gen == "E":
-                _acc(out, k + 2, c * r.e_coeff(k))
-            else:
-                _acc(out, k - 2, c * r.f_coeff(k))
-        return out
+def FinDimRealization(m: int) -> Ladder:
+    """V(m) as the window |k| <= m of the ladder at lam = -(m+1), where the
+    raising coefficient vanishes at k = m and the lowering one at k = -m."""
+    check_highest_weight(m)
+    return Ladder(-(m + 1), m % 2, -m, m)
 
 
 class _TensorSpace:
-    """Free vectors {(a, b): coeff} over a pair of realizations (Leibniz action)."""
+    """Free vectors {(a, b): coeff} over a pair of ladders (Leibniz action)."""
 
-    def __init__(self, left: Realization, right: Realization) -> None:
+    def __init__(self, left: Ladder, right: Ladder) -> None:
         self.left = left
         self.right = right
 
     def basis_at(self, k: int) -> list:
-        if not isinstance(self.right, FinDimRealization):
+        lo, hi = self.right.lo, self.right.hi
+        if lo is None or hi is None:
             raise ValueError("weight spaces are finite only with a finite-dimensional factor")
-        return [
-            (k - b, b)
-            for b in range(-self.right.m, self.right.m + 1, 2)
-            if self.left.has_weight(k - b)
-        ]
+        return [(k - b, b) for b in range(lo, hi + 1, 2) if self.left.has_weight(k - b)]
 
     def apply(self, gen: str, vec: dict) -> dict:
         out: dict = {}
@@ -183,13 +153,10 @@ def _omega(space, vec: dict) -> dict:
     return out
 
 
-def _space_for(a: Realization, b: FinDimRealization | None):
-    return _SingleSpace(a) if b is None else _TensorSpace(a, b)
-
-
-def casimir_matrix(a: Realization, b: FinDimRealization | None, k: int) -> list:
-    """Exact matrix of Omega on the K-weight-k subspace (columns are images)."""
-    space = _space_for(a, b)
+def casimir_matrix(a: Ladder, b: Ladder | None, k: int) -> list:
+    """Exact matrix of Omega on the K-weight-k subspace of a (x) b, with
+    b = V(0) when None (columns are images)."""
+    space = _TensorSpace(a, FinDimRealization(0) if b is None else b)
     basis = space.basis_at(k)
     if not basis:
         raise ValueError(f"no vectors at this K-weight: k={k}")
@@ -249,8 +216,7 @@ def casimir_on_symmetric_power(m: int) -> list:
     Independent cross-check model for V(m): on the monomial basis indexed by
     k = 0..m the Casimir acts by (m-2k)^2 + 1 + 2(m-k)(k+1) + 2k(m-k+1).
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    check_highest_weight(m)
     return [
         Fraction((m - 2 * k) ** 2 + 1 + 2 * (m - k) * (k + 1) + 2 * k * (m - k + 1))
         for k in range(m + 1)
@@ -266,14 +232,9 @@ def reducibility_points(lam: Scalar, eps: int) -> list:
     Nonempty exactly when the series is reducible: integral parameter with
     the opposite parity.
     """
-    lam = as_scalar(lam)
-    check_parity(eps)
-    points = []
-    for k_val, gen in ((-lam - 1, "E'"), (lam + 1, "F'")):
-        if is_integer(k_val) and (int(k_val) - eps) % 2 == 0:
-            points.append((int(k_val), gen))
-    points.sort()
-    return points
+    ladder = PrincipalSeriesRealization(lam, eps)
+    zeros = ((-ladder.lam - 1, "E'"), (ladder.lam + 1, "F'"))
+    return sorted((int(k), gen) for k, gen in zeros if ladder.has_weight(k))
 
 
 # --- spectral reports ---------------------------------------------------------

@@ -287,9 +287,7 @@ def ds_tensor(sign: int, l: int, m: int) -> VirtualModule:
     a half-line is D(+1, t); for t < 0 it is V(-t-1) followed by D(+1, -t).
     D(-1, l) is the mirror image.  Every factor has Casimir value t^2.
     """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    check_highest_weight(l)
+    DiscreteSeries(sign, l)  # checks sign and l
     check_highest_weight(m)
     classes: list = []
     for t in range(l + m, l - m - 1, -2):

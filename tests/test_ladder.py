@@ -1,0 +1,162 @@
+"""The ``Ladder`` realizations and the argument checks they share.
+
+The dense reference (``casimir_matrix`` and ``_weight_spectrum``) is run on
+the bounded ladder shapes D+(l), D-(l) and V(m1), tensored with V(m), and
+compared with ``ds_tensor`` and ``clebsch_gordan``: each weight's Casimir
+multiplicities must be those of the predicted classes' K-types.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+import sl2hc
+from sl2hc.core import DiscreteSeries, FinDim, PrincipalIrr, casimir_value, check_parity, ktype_function
+from sl2hc.oracle import (
+    FinDimRealization,
+    Ladder,
+    PrincipalSeriesRealization,
+    _weight_spectrum,
+    casimir_matrix,
+    casimir_on_symmetric_power,
+    casimir_report,
+    eigenvalue_candidates,
+    reducibility_points,
+)
+from sl2hc.tensor import clebsch_gordan, ds_tensor, ps_tensor
+
+
+def discrete_series_ladder(sign: int, l: int) -> Ladder:
+    """D+(l) or D-(l): the half-line of I(l, l+1 mod 2) cut at k = +-(l+1)."""
+    eps = (l + 1) % 2
+    return Ladder(l, eps, l + 1, None) if sign > 0 else Ladder(l, eps, None, -l - 1)
+
+
+def test_named_realizations_are_ladders():
+    assert PrincipalSeriesRealization("1/2", 0) == Ladder(Fraction(1, 2), 0, None, None)
+    assert FinDimRealization(2) == Ladder(Fraction(-3), 0, -2, 2)
+    assert FinDimRealization(3) == Ladder(-4, 1, -3, 3)
+    assert sl2hc.PrincipalSeriesRealization is PrincipalSeriesRealization
+    assert sl2hc.FinDimRealization is FinDimRealization
+    assert "Ladder" not in sl2hc.__all__
+
+
+@pytest.mark.parametrize("sign, l", [(1, 0), (1, 3), (-1, 0), (-1, 2)])
+def test_discrete_series_ladder_is_cut_where_a_coefficient_vanishes(sign, l):
+    ladder = discrete_series_ladder(sign, l)
+    edge = sign * (l + 1)
+    assert ladder.has_weight(edge) and not ladder.has_weight(edge - 2 * sign)
+    assert ladder.has_weight(edge + 20 * sign)
+    assert (ladder.f_coeff(edge) if sign > 0 else ladder.e_coeff(edge)) == 0
+    for k in range(-12, 13):
+        assert ladder.has_weight(k) == (ktype_function(DiscreteSeries(sign, l)).value(k) == 1)
+
+
+def test_reducibility_points_are_the_ladders_own_zeros():
+    for lam in (Fraction(n, q) for n in range(-8, 9) for q in (1, 2, 3)):
+        for eps in (0, 1):
+            ladder = PrincipalSeriesRealization(lam, eps)
+            for k, gen in reducibility_points(lam, eps):
+                assert (ladder.e_coeff(k) if gen == "E'" else ladder.f_coeff(k)) == 0
+
+
+def _predicted(module, k: int) -> dict:
+    """Casimir value -> multiplicity at weight k, from a module's classes."""
+    counts: dict = {}
+    for cls, mult in module.items():
+        n = mult * ktype_function(cls).value(k)
+        if n:
+            value = casimir_value(cls)
+            counts[value] = counts.get(value, 0) + n
+    return counts
+
+
+def _compare(left: Ladder, m: int, module, bound: int) -> int:
+    """Dense spectra of left (x) V(m) on |k| <= bound against ``module``;
+    returns the number of nonzero weight spaces compared."""
+    right = FinDimRealization(m)
+    candidates = eigenvalue_candidates(left.lam, m)
+    seen = 0
+    for k in range(-bound, bound + 1):
+        predicted = _predicted(module, k)
+        if not any(left.has_weight(k - b) for b in range(-m, m + 1, 2)):
+            assert predicted == {}, k
+            continue
+        ws = _weight_spectrum(k, casimir_matrix(left, right, k), candidates)
+        assert {value: mult for value, mult, _ in ws.eigenvalues} == predicted, (left, m, k)
+        seen += 1
+    return seen
+
+
+def test_dense_reference_confirms_ds_tensor():
+    seen = 0
+    for sign in (1, -1):
+        for l in range(5):
+            for m in range(5):
+                seen += _compare(discrete_series_ladder(sign, l), m, ds_tensor(sign, l, m), l + m + 6)
+    # the weights of D+-(l) (x) V(m) in the window: +-k = l+1-m, l+3-m, ..., l+m+5
+    assert seen == 2 * sum(m + 3 for l in range(5) for m in range(5))
+
+
+def test_dense_reference_confirms_clebsch_gordan():
+    seen = 0
+    for m1 in range(6):
+        for m in range(6):
+            seen += _compare(FinDimRealization(m1), m, clebsch_gordan(m1, m), m1 + m + 2)
+    # every weight of V(m1) (x) V(m) is |k| <= m1 + m with the parity of m1 + m
+    assert seen == sum(m1 + m + 1 for m1 in range(6) for m in range(6))
+
+
+def test_casimir_matrix_needs_a_bounded_right_factor():
+    with pytest.raises(ValueError, match="finite-dimensional factor"):
+        casimir_matrix(FinDimRealization(1), PrincipalSeriesRealization(0, 1), 1)
+    with pytest.raises(ValueError, match="finite-dimensional factor"):
+        casimir_matrix(FinDimRealization(1), discrete_series_ladder(1, 0), 1)
+
+
+BAD_PARITIES = [True, False, 1.0, "1", 2, -1]
+
+
+@pytest.mark.parametrize("bad", BAD_PARITIES)
+def test_parity_must_be_the_int_0_or_1(bad):
+    with pytest.raises(ValueError) as expected:
+        check_parity(bad)
+    assert str(expected.value) == f"parity must be 0 or 1, got {bad!r}"
+    for build in (
+        lambda: PrincipalIrr(Fraction(1, 2), bad),
+        lambda: ps_tensor(Fraction(1, 2), bad, 1),
+        lambda: casimir_report(Fraction(1, 2), bad, 1),
+        lambda: PrincipalSeriesRealization(Fraction(1, 2), bad),
+        lambda: reducibility_points(2, bad),
+    ):
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, -1.0, "1", 2, 0])
+def test_sign_must_be_the_int_1_or_minus_1(bad):
+    with pytest.raises(ValueError) as expected:
+        DiscreteSeries(bad, 2)
+    assert str(expected.value) == f"sign must be +1 or -1, got {bad!r}"
+    with pytest.raises(ValueError) as raised:
+        ds_tensor(bad, 2, 1)
+    assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("bad", ["2", 2.0, True, -1])
+def test_discrete_series_parameter_checked_once(bad):
+    with pytest.raises(ValueError) as expected:
+        DiscreteSeries(1, bad)
+    with pytest.raises(ValueError) as raised:
+        ds_tensor(1, bad, 1)
+    assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("bad", ["2", 2.0, True, -1])
+def test_symmetric_power_checks_the_highest_weight_as_findim(bad):
+    with pytest.raises(ValueError) as expected:
+        FinDim(bad)
+    with pytest.raises(ValueError) as raised:
+        casimir_on_symmetric_power(bad)
+    assert str(raised.value) == str(expected.value)

@@ -29,6 +29,7 @@ from sl2hc.oracle import (
     BlockObservation,
     CasimirReport,
     FinDimRealization,
+    Ladder,
     PrincipalSeriesRealization,
     VerificationVerdict,
     VerifyEntry,
@@ -50,8 +51,7 @@ FIELDS = {
     LengthTwo: ("sub", "quot"),
     ClassPoint: ("kind", "lam0", "eps0"),
     PosetOps: ("leq", "join", "meet"),
-    PrincipalSeriesRealization: ("lam", "eps"),
-    FinDimRealization: ("m",),
+    Ladder: ("lam", "eps", "lo", "hi"),
     WeightSpectrum: ("k", "dim", "eigenvalues"),
     CasimirReport: ("lam", "eps", "m", "window", "entries"),
     VerifyEntry: ("k", "dim", "observed", "predicted", "match"),
@@ -88,7 +88,7 @@ def _block(lam: Fraction, eps: int):
 
 
 def samples(lam: Fraction, eps: int, m: int, n: int) -> list:
-    """One instance of each of the 18 classes, built from the draw."""
+    """One instance of each of the 17 classes, built from the draw."""
     irr = _irreducible(lam, eps)
     ds = DiscreteSeries(1 if n % 2 else -1, m)
     point = ps_class_point(irr.lam, irr.eps)
@@ -106,8 +106,7 @@ def samples(lam: Fraction, eps: int, m: int, n: int) -> list:
         LengthTwo(_block(Fraction(n + 1), eps), _block(Fraction(-n - 1), eps)),
         point,
         sub_poset_ops(closure({HOL_POINT}), {FD_POINT, point}),
-        PrincipalSeriesRealization(lam, eps),
-        FinDimRealization(m),
+        FinDimRealization(m) if n % 2 else PrincipalSeriesRealization(lam, eps),
         report.entries[0],
         report,
         verdict.entries[-1],
@@ -192,7 +191,7 @@ def test_reprs_pinned():
     )
     assert repr(inf_char(PrincipalIrr(Fraction(-5, 2), 0))) == "InfChar(value=Fraction(5, 2))"
     assert repr(PrincipalSeriesRealization("-1/2", 1)) == (
-        "PrincipalSeriesRealization(lam=Fraction(-1, 2), eps=1)"
+        "Ladder(lam=Fraction(-1, 2), eps=1, lo=None, hi=None)"
     )
     assert repr(casimir_report(Fraction(1, 2), 0, 1, (1, 1))) == (
         "CasimirReport(lam=Fraction(1, 2), eps=0, m=1, window=(1, 1), entries=(WeightSpectrum(k=1, dim=2, "
