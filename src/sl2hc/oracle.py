@@ -44,11 +44,9 @@ from .core import (
     Scalar,
     UnexpectedEigenvalueError,
     as_scalar,
-    casimir_value,
     check_highest_weight,
     check_parity,
     format_scalar,
-    ktype_function,
 )
 from .linalg import (
     clear_denominators,
@@ -57,7 +55,7 @@ from .linalg import (
     tridiagonal_jordan_block_sizes,
     tridiagonal_of,
 )
-from .tensor import LengthTwo, block_parameter, decomposition_semisimplification, ps_tensor
+from .tensor import LengthTwo, ps_tensor
 
 
 # --- realizations ------------------------------------------------------------
@@ -265,16 +263,8 @@ def default_window(lam: Scalar, eps: int, m: int) -> tuple:
     return (-bound, bound)
 
 
-def casimir_report(
-    lam: Scalar, eps: int, m: int, window: tuple | None = None, candidates: tuple | None = None
-) -> CasimirReport:
-    """Exact Casimir eigenstructure of (principal series) (x) V(m) per K-weight.
-
-    ``candidates`` are the possible eigenvalues, ascending; by default the
-    values (lam+m-2j)^2 of ``eigenvalue_candidates``.  ``verify_tensor``
-    passes the same tuple, so that its predictions hold the very objects
-    the spectra report.
-    """
+def casimir_report(lam: Scalar, eps: int, m: int, window: tuple | None = None) -> CasimirReport:
+    """Exact Casimir eigenstructure of (principal series) (x) V(m) per K-weight."""
     lam = as_scalar(lam)
     check_parity(eps)
     check_highest_weight(m)
@@ -287,10 +277,8 @@ def casimir_report(
     start = lo if (lo - parity) % 2 == 0 else lo + 1
     if start > hi:
         raise ValueError(f"window [{lo},{hi}] holds no K-weight k = eps + m (mod 2)")
-    if candidates is None:
-        candidates = eigenvalue_candidates(lam, m)
     p, q = lam.numerator, lam.denominator
-    scaled = _scaled(candidates, q * q)
+    scaled = _scaled(eigenvalue_candidates(lam, m), q * q)
     entries = tuple(_spectrum(k, *_diagonals(p, q, m, k), scaled) for k in range(start, hi + 1, 2))
     return CasimirReport(lam, eps, m, (lo, hi), entries)
 
@@ -376,51 +364,43 @@ class VerificationVerdict(Record):
 def verify_tensor(lam: Scalar, eps: int, m: int, window: tuple | None = None) -> VerificationVerdict:
     """Compare closed-form Casimir multiplicities against the oracle per K-weight.
 
-    The prediction is assembled from the tensor decomposition's
-    semisimplification: each factor contributes its K-type indicator at its
-    Casimir value.  The factors are grouped by value once, onto the
-    report's own candidate objects, so that at each weight the predicted
-    ``((value, mult), ...)`` is built in value order and compared with the
-    observed pairs mostly by identity.  Disagreement is a verdict, not an
-    error.
+    Each block I(t, e) of ``ps_tensor``, reducible or not, has every K-type
+    of parity e exactly once, at Casimir value t^2; the blocks have parity
+    eps+m, and one of any other parity would predict nothing at these
+    weights.  So the prediction is one ``((value, mult), ...)``, the blocks
+    counted by value, the same at every weight.  It is built once, on the
+    report's own value objects, and compared with the observed pairs mostly
+    by identity.  Disagreement is a verdict, not an error.
     """
     lam = as_scalar(lam)
     check_parity(eps)
     summands = ps_tensor(lam, eps, m)
-    factors = decomposition_semisimplification(summands)
-    candidates = eigenvalue_candidates(lam, m)
-    report = casimir_report(lam, eps, m, window, candidates)
+    report = casimir_report(lam, eps, m, window)
 
-    shared = {c: c for c in candidates}  # a value -> the report's object for it
-    by_value: dict = {}
-    for cls, mult in factors.items():
-        value = casimir_value(cls)
-        by_value.setdefault(shared.get(value, value), []).append((ktype_function(cls), mult))
-    groups = sorted(by_value.items(), key=itemgetter(0))
-    # every block value is a candidate, so a spectrum holds it as that very object
-    blocks = [
-        (shared.get(v, v), set())
-        for v in sorted({abs(block_parameter(s.sub)) ** 2 for s in summands if isinstance(s, LengthTwo)})
-    ]
+    # every weight holds every candidate; a value missing here compares by equality
+    shared = {v: v for v, _, _ in report.entries[0].eigenvalues}
+    parity = (eps + m) % 2
+    counts: dict = {}
+    glued: dict = {}  # value of a LengthTwo block -> the Jordan profiles seen there
+    for s in summands:
+        for b in s.blocks:
+            value = b.lam ** 2
+            value = shared.get(value, value)
+            if b.eps == parity:
+                counts[value] = counts.get(value, 0) + 1
+            if isinstance(s, LengthTwo):
+                glued.setdefault(value, set())
+    predicted = tuple(sorted(counts.items(), key=itemgetter(0)))
 
     entries = []
     for ws in report.entries:
-        k = ws.k
-        predicted = []
-        for value, parts in groups:
-            count = 0
-            for ktf, mult in parts:
-                count += mult * ktf.value(k)
-            if count:
-                predicted.append((value, count))
-        predicted = tuple(predicted)
         observed = tuple([(value, mult) for value, mult, _ in ws.eigenvalues])
-        entries.append(VerifyEntry(k, ws.dim, ws.eigenvalues, predicted, observed == predicted))
-        for value, _, sizes in ws.eigenvalues:
-            for block_value, profiles in blocks:
-                if value is block_value:
-                    profiles.add(sizes)
-    observations = tuple(BlockObservation(v, tuple(sorted(profiles))) for v, profiles in blocks)
+        entries.append(VerifyEntry(ws.k, ws.dim, ws.eigenvalues, predicted, observed == predicted))
+        if glued:
+            for value, _, sizes in ws.eigenvalues:
+                if value in glued:
+                    glued[value].add(sizes)
+    observations = tuple(BlockObservation(v, tuple(sorted(glued[v]))) for v in sorted(glued))
     passed = all(e.match for e in entries)
     return VerificationVerdict(lam, eps, m, report.window, tuple(entries), observations, passed)
 

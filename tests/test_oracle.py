@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sl2hc.core import FinDim, casimir_value, ktype_function
+from sl2hc.core import FinDim, PrincipalIrr, casimir_value, ktype_function
 from sl2hc.linalg import char_poly, clear_denominators, jordan_block_sizes, root_multiplicity
 from sl2hc.oracle import (
     BlockObservation,
@@ -23,7 +23,7 @@ from sl2hc.oracle import (
     verify_tensor,
     _weight_spectrum,
 )
-from sl2hc.tensor import LengthTwo, block_parameter, decomposition_semisimplification, ps_tensor
+from sl2hc.tensor import Irr, LengthTwo, block_parameter, decomposition_semisimplification, ps_tensor
 
 
 def test_principal_series_realization_basics():
@@ -326,24 +326,57 @@ def test_verify_tensor_equals_dense_fraction_keyed_reference(case):
     assert verdict.passed
 
 
+def _drop(i):
+    """Drop summand i; the test id shows i, as it did when the cases held the bare index."""
+
+    def mutate(summands):
+        del summands[i]
+
+    mutate.label = str(i)
+    return mutate
+
+
+def _first_block(label, shift, flip):
+    """Move the first summand's parameter by ``shift`` and flip its parity if ``flip``."""
+
+    def mutate(summands):
+        (block,) = summands[0].blocks
+        summands[0] = Irr(PrincipalIrr(block.lam + shift, (block.eps + flip) % 2))
+
+    mutate.label = label
+    return mutate
+
+
 @pytest.mark.parametrize(
-    "argv, drop, line",
+    "argv, mutate, line",
     [
         # recorded from the Fraction-keyed verify_tensor
-        (["verify", "1/2", "0", "1"], -1, "FAIL (k=-9: predicted 9/4:1; observed 1/4:1, 9/4:1)"),
-        (["verify", "2", "1", "3"], 0, "FAIL (k=-12: predicted 1:2, 9:1; observed 1:2, 9:1, 25:1)"),
-        (["verify", "0", "0", "2"], 0, "FAIL (k=-8: predicted 0:1; observed 0:1, 4:2)"),
+        (["verify", "1/2", "0", "1"], _drop(-1), "FAIL (k=-9: predicted 9/4:1; observed 1/4:1, 9/4:1)"),
+        (["verify", "2", "1", "3"], _drop(0), "FAIL (k=-12: predicted 1:2, 9:1; observed 1:2, 9:1, 25:1)"),
+        (["verify", "0", "0", "2"], _drop(0), "FAIL (k=-8: predicted 0:1; observed 0:1, 4:2)"),
+        # recorded from the verify_tensor that rebuilt its prediction per weight
+        (
+            ["verify", "1/2", "0", "1"],
+            _first_block("other-parity", 0, 1),
+            "FAIL (k=-9: predicted 1/4:1; observed 1/4:1, 9/4:1)",
+        ),
+        (
+            ["verify", "1/3", "1", "2"],
+            _first_block("moved-by-1/2", Fraction(1, 2), 0),
+            "FAIL (k=-9: predicted 1/9:1, 25/9:1, 289/36:1; observed 1/9:1, 25/9:1, 49/9:1)",
+        ),
     ],
+    ids=lambda value: getattr(value, "label", None),
 )
-def test_verify_fails_on_a_decomposition_missing_a_summand(monkeypatch, capsys, argv, drop, line):
+def test_verify_fails_on_a_decomposition_missing_a_summand(monkeypatch, capsys, argv, mutate, line):
     from sl2hc import oracle
     from sl2hc.cli import main
 
-    def short_ps_tensor(lam, eps, m):
+    def mutated_ps_tensor(lam, eps, m):
         summands = ps_tensor(lam, eps, m)
-        del summands[drop]
+        mutate(summands)
         return summands
 
-    monkeypatch.setattr(oracle, "ps_tensor", short_ps_tensor)
+    monkeypatch.setattr(oracle, "ps_tensor", mutated_ps_tensor)
     assert main(argv) == 3
     assert capsys.readouterr().out == line + "\n"

@@ -53,6 +53,32 @@ def test_lattice_output_bytes_are_pinned(capsys, n, fmt):
     assert hashlib.sha256(out).hexdigest() == LATTICE_SHA256[n, fmt]
 
 
+# sha256 over "p/q eps m: <exit code>\n<stdout>" for `sl2hc --format FMT verify -- p/q eps m`,
+# |p| <= 8, eps in {0, 1}, 0 <= m <= 4; recorded from the verify_tensor that rebuilt
+# its prediction per weight from the decomposition's semisimplification
+VERIFY_SHA256 = {
+    (1, "text"): "d0315f952585ebb9cb89f1179d05be8b0a6cf22231f46b61c96d104fc6aa493d",
+    (1, "json"): "3d65c4d51e21ed7c64e2108aa505a4d8c7fc7a6ff2099ce4b5da21f5e4bc76e5",
+    (2, "text"): "269d9cdc8d1f0e7895bb6352f69c51040556912e9bfe4a20cc0c1e1820fbc146",
+    (2, "json"): "9e417e099e7d43d8e89643ec856da20a1a34e3f397127a7c76e1a606da3bb3b0",
+    (3, "text"): "73557a3ceaf03e7ee24eaa881d44a7bb659892dea227600b616bb97179dd39e2",
+    (3, "json"): "a7449f6470d714615e2d71f40345f7012234cd011918dbd08e6d282634ded54f",
+    (5, "text"): "5dbe2f538889011675271dce8062c5f03185bdec776aa2cf67be759aedb2940a",
+    (5, "json"): "08efcd04a31011db97eedbb121de793a84fc8e78b3f0abed41d52dc114385e9b",
+}
+
+
+@pytest.mark.parametrize("q, fmt", sorted(VERIFY_SHA256))
+def test_verify_output_bytes_are_pinned(capsys, q, fmt):
+    digest = hashlib.sha256()
+    for p in range(-8, 9):
+        for eps in "01":
+            for m in "01234":
+                code = main(["--format", fmt, "verify", "--", f"{p}/{q}", eps, m])
+                digest.update(f"{p}/{q} {eps} {m}: {code}\n{capsys.readouterr().out}".encode("ascii"))
+    assert digest.hexdigest() == VERIFY_SHA256[q, fmt]
+
+
 class _CountingStdout(io.StringIO):
     def __init__(self) -> None:
         super().__init__()

@@ -8,6 +8,7 @@ from sl2hc.core import (
     DiscreteSeries,
     FinDim,
     InfChar,
+    KTypeFunction,
     PrincipalIrr,
     VirtualModule,
     casimir_value,
@@ -36,6 +37,7 @@ from sl2hc.tensor import (
     ps_structure,
     ps_tensor,
     series_semisimplification,
+    summand_semisimplification,
     tensor_with_finite,
     weyl_signed_tensor,
 )
@@ -442,6 +444,27 @@ def test_ps_tensor_output_is_pinned(q, eps):
         for m in range(13)
     )
     assert _sha256(lines) == PS_TENSOR_SHA256[q, eps]
+
+
+# --- the block invariant behind verify_tensor's prediction ---------------------------
+
+# lam = p/q over this grid, with eps in {0, 1} and m <= 6, holds the criterion-3 sweep grid
+BLOCK_LAMBDAS = sorted({Fraction(p, q) for q in (1, 2, 3, 5) for p in range(-12, 13)})
+
+
+@pytest.mark.parametrize("eps", [0, 1])
+def test_each_ps_tensor_block_has_every_ktype_of_its_parity_once_at_value_lam_squared(eps):
+    """So the summands of parity eps+m predict one Casimir spectrum, the same at every weight."""
+    for lam in BLOCK_LAMBDAS:
+        for m in range(7):
+            parity = (eps + m) % 2
+            for s in ps_tensor(lam, eps, m):
+                n = len(s.blocks)
+                got = module_ktype_function(summand_semisimplification(s))
+                assert got == KTypeFunction.build(parity, {}, n, n), (lam, eps, m, s)
+                for b in s.blocks:
+                    for cls in ps_structure(b.lam, b.eps).factors:
+                        assert casimir_value(cls) == b.lam ** 2, (lam, eps, m, b, cls)
 
 
 def test_ds_tensor_conserves_ktypes_and_casimir_shifts_to_24():
