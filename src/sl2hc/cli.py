@@ -31,7 +31,7 @@ from .core import (
     format_class,
     format_scalar,
     format_virtual_module,
-    ktype_function,
+    ladder,
     parse_class,
 )
 from .tensor import (
@@ -164,15 +164,16 @@ def _cmd_tensor(args):
 
 
 def _cmd_ktypes(args):
-    f = ktype_function(args.cls)
+    w = ladder(args.cls)  # read off the window: no K-type of V(m) is listed
+    lo, hi = args.window
     payload = {
         "command": "ktypes",
         "class": format_class(args.cls),
-        "parity": f.parity,
-        "tail_left": f.tail_left,
-        "tail_right": f.tail_right,
-        "window": list(args.window),
-        "table": [[k, mult] for k, mult in f.table(*args.window).items()],
+        "parity": w.eps,
+        "tail_left": int(w.lo is None),
+        "tail_right": int(w.hi is None),
+        "window": [lo, hi],
+        "table": [[k, int(w.has_weight(k))] for k in range(lo + (lo - w.eps) % 2, hi + 1, 2)],
     }
     return payload, _ktypes_lines(payload)
 

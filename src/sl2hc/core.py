@@ -198,6 +198,57 @@ class PrincipalIrr(Record):
 IrreducibleClass = FinDim | DiscreteSeries | PrincipalIrr
 
 
+# --- K-weight ladders ---------------------------------------------------------
+
+
+class Ladder(Record):
+    """The K-weight ladder of I(lam, eps), cut to the window lo <= k <= hi.
+
+    On the basis {w_k : k = eps mod 2} the compact-picture action
+
+        H'.w_k = k w_k,   E'.w_k = (lam+k+1)/2 w_{k+2},   F'.w_k = (lam-k+1)/2 w_{k-2}
+
+    realizes a principal series for any rational lam.  A bound of ``None``
+    leaves that side open; any other bound is a weight where the coefficient
+    leaving the window vanishes (``f_coeff(lo) == 0``, i.e. lam = lo - 1;
+    ``e_coeff(hi) == 0``, i.e. lam = -hi - 1), so the window is a submodule.
+    ``ladder`` gives the windows: none for I(lam, eps), |k| <= m at
+    lam = -(m+1) for V(m), lo = l+1 or hi = -l-1 at lam = l for D+(l), D-(l).
+    """
+
+    __slots__ = ("lam", "eps", "lo", "hi")
+
+    def __post_init__(self) -> None:
+        _setattr(self, "lam", as_scalar(self.lam))
+        check_parity(self.eps)
+        for bound, sign in ((self.lo, 1), (self.hi, -1)):
+            if bound is not None and ((bound - self.eps) % 2 or self.lam != sign * bound - 1):
+                raise ValueError(f"a ladder bound must be a zero of the coefficient leaving it: {self!r}")
+
+    def has_weight(self, k: Scalar) -> bool:
+        lo, hi = self.lo, self.hi
+        return (k - self.eps) % 2 == 0 and (lo is None or lo <= k) and (hi is None or k <= hi)
+
+    def e_coeff(self, k: int) -> Fraction:
+        return (self.lam + k + 1) / 2
+
+    def f_coeff(self, k: int) -> Fraction:
+        return (self.lam - k + 1) / 2
+
+
+def ladder(x: IrreducibleClass) -> Ladder:
+    """The ladder window realizing an irreducible class: the one place where
+    V(m), D+-(l) and I(lam, eps) are told apart for their module facts."""
+    if isinstance(x, FinDim):
+        return Ladder(-(x.m + 1), x.m % 2, -x.m, x.m)
+    if isinstance(x, DiscreteSeries):
+        eps = (x.l + 1) % 2
+        return Ladder(x.l, eps, x.l + 1, None) if x.sign > 0 else Ladder(x.l, eps, None, -x.l - 1)
+    if isinstance(x, PrincipalIrr):
+        return Ladder(x.lam, x.eps, None, None)
+    raise TypeError(f"not an irreducible class: {x!r}")
+
+
 def class_sort_key(x: IrreducibleClass) -> tuple:
     """Total order used for canonical storage of class combinations."""
     if isinstance(x, FinDim):
@@ -393,13 +444,7 @@ class InfChar(Record):
 
 
 def inf_char(x: IrreducibleClass) -> InfChar:
-    if isinstance(x, FinDim):
-        return InfChar(Fraction(x.m + 1))
-    if isinstance(x, DiscreteSeries):
-        return InfChar(Fraction(x.l))
-    if isinstance(x, PrincipalIrr):
-        return InfChar(x.lam)
-    raise TypeError(f"not an irreducible class: {x!r}")
+    return InfChar(abs(ladder(x).lam))
 
 
 def casimir_value(x: IrreducibleClass) -> Fraction:
@@ -549,17 +594,11 @@ class KTypeFunction(Record):
 
 
 def ktype_function(x: IrreducibleClass) -> KTypeFunction:
-    """Multiplicity-one K-type indicator of the class."""
-    if isinstance(x, FinDim):
-        return KTypeFunction.build(x.m % 2, {k: 1 for k in range(-x.m, x.m + 1, 2)}, 0, 0)
-    if isinstance(x, DiscreteSeries):
-        parity = (x.l + 1) % 2
-        if x.sign > 0:
-            return KTypeFunction.build(parity, {x.l + 1: 1}, 0, 1)
-        return KTypeFunction.build(parity, {-(x.l + 1): 1}, 1, 0)
-    if isinstance(x, PrincipalIrr):
-        return KTypeFunction.build(x.eps, {}, 1, 1)
-    raise TypeError(f"not an irreducible class: {x!r}")
+    """Multiplicity-one K-type indicator of the class: its ladder window."""
+    w = ladder(x)
+    ends = [k for k in (w.lo, w.hi) if k is not None]
+    values = {k: 1 for k in range(ends[0], ends[-1] + 1, 2)} if ends else {}
+    return KTypeFunction.build(w.eps, values, int(w.lo is None), int(w.hi is None))
 
 
 def module_ktype_function(x: VirtualModule) -> KTypeFunction:
@@ -596,15 +635,9 @@ class ASCone(Enum):
 
 
 def as_cone(x: IrreducibleClass) -> ASCone:
-    """Closed form of ``ascone_from_ktypes(ktype_function(x))``; it skips
-    building the m + 1 explicit K-types of V(m)."""
-    if isinstance(x, FinDim):
-        return ASCone.ZERO
-    if isinstance(x, DiscreteSeries):
-        return ASCone.PLUS_HALF_LINE if x.sign > 0 else ASCone.MINUS_HALF_LINE
-    if isinstance(x, PrincipalIrr):
-        return ASCone.FULL_LINE
-    raise TypeError(f"not an irreducible class: {x!r}")
+    """``ascone_from_ktypes(ktype_function(x))`` read off the ladder's open sides."""
+    w = ladder(x)
+    return ASCone((w.hi is None, w.lo is None))
 
 
 def ascone_from_ktypes(f: KTypeFunction) -> ASCone:

@@ -1,16 +1,8 @@
 """Independent spectral oracle for the closed-form tensor decompositions.
 
-The compact-picture action on a K-weight basis {w_k},
-
-    H'.w_k = k w_k,   E'.w_k = (lam+k+1)/2 w_{k+2},   F'.w_k = (lam-k+1)/2 w_{k-2},
-
-realizes a principal series for any rational lam.  A ``Ladder`` is this
-action cut to a window lo <= k <= hi, each bound open (``None``) or placed
-where a ladder coefficient vanishes.  One record thus covers four shapes:
-the principal series I(lam, eps) (no bound), V(m) (the window |k| <= m at
-lam = -(m+1)), and D+(l) and D-(l) (one bound at lam = l).
-``PrincipalSeriesRealization`` and ``FinDimRealization`` are constructors
-of the first two.  The Casimir element
+The modules are ``core.Ladder`` windows of the compact-picture action on a
+K-weight basis: ``PrincipalSeriesRealization`` at any rational lam, reducible
+or not, and ``FinDimRealization`` for V(m).  The Casimir element
 
     Omega = H'^2 + 1 + 2 E'F' + 2 F'E'
 
@@ -40,6 +32,8 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .core import (
+    FinDim,
+    Ladder,
     Record,
     Scalar,
     UnexpectedEigenvalueError,
@@ -47,6 +41,7 @@ from .core import (
     check_highest_weight,
     check_parity,
     format_scalar,
+    ladder,
 )
 from .linalg import (
     clear_denominators,
@@ -61,43 +56,14 @@ from .tensor import LengthTwo, ps_tensor
 # --- realizations ------------------------------------------------------------
 
 
-class Ladder(Record):
-    """The K-weight ladder of I(lam, eps), cut to the window lo <= k <= hi.
-
-    A bound of ``None`` leaves that side open.  A bound may sit only where
-    the ladder coefficient leaving the window vanishes, so the window is a
-    submodule: no bound is the principal series, both bounds V(m), and
-    ``lo = l+1`` or ``hi = -l-1`` at lam = l the discrete series D+(l) or
-    D-(l).
-    """
-
-    __slots__ = ("lam", "eps", "lo", "hi")
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", as_scalar(self.lam))
-        check_parity(self.eps)
-
-    def has_weight(self, k: Scalar) -> bool:
-        lo, hi = self.lo, self.hi
-        return (k - self.eps) % 2 == 0 and (lo is None or lo <= k) and (hi is None or k <= hi)
-
-    def e_coeff(self, k: int) -> Fraction:
-        return (self.lam + k + 1) / 2
-
-    def f_coeff(self, k: int) -> Fraction:
-        return (self.lam - k + 1) / 2
-
-
 def PrincipalSeriesRealization(lam: Scalar, eps: int) -> Ladder:
     """Principal series on the K-weight basis {w_k : k = eps mod 2}."""
     return Ladder(lam, eps, None, None)
 
 
 def FinDimRealization(m: int) -> Ladder:
-    """V(m) as the window |k| <= m of the ladder at lam = -(m+1), where the
-    raising coefficient vanishes at k = m and the lowering one at k = -m."""
-    check_highest_weight(m)
-    return Ladder(-(m + 1), m % 2, -m, m)
+    """V(m) as the window |k| <= m of the ladder at lam = -(m+1)."""
+    return ladder(FinDim(m))
 
 
 class _TensorSpace:
@@ -230,9 +196,9 @@ def reducibility_points(lam: Scalar, eps: int) -> list:
     Nonempty exactly when the series is reducible: integral parameter with
     the opposite parity.
     """
-    ladder = PrincipalSeriesRealization(lam, eps)
-    zeros = ((-ladder.lam - 1, "E'"), (ladder.lam + 1, "F'"))
-    return sorted((int(k), gen) for k, gen in zeros if ladder.has_weight(k))
+    w = PrincipalSeriesRealization(lam, eps)
+    zeros = ((-w.lam - 1, "E'"), (w.lam + 1, "F'"))
+    return sorted((int(k), gen) for k, gen in zeros if w.has_weight(k))
 
 
 # --- spectral reports ---------------------------------------------------------

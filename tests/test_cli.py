@@ -7,7 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 import sl2hc.cli as cli
 from sl2hc.cli import main
-from sl2hc.core import parse_class
+from sl2hc.core import (
+    DiscreteSeries,
+    FinDim,
+    KTypeFunction,
+    PrincipalIrr,
+    format_class,
+    ktype_function,
+    parse_class,
+    principal_is_irreducible,
+)
 from sl2hc.oracle import UnexpectedEigenvalueError, VerificationVerdict, VerifyEntry
 
 
@@ -116,6 +125,48 @@ def test_ktypes_bad_window(capsys):
     code, _, err = run(capsys, "ktypes", "V(1)", "--window", "3", "-3")
     assert code == 2
     assert "--window" in err
+
+
+@st.composite
+def _class_and_window(draw) -> tuple:
+    """A random irreducible class and a window of width at most 40."""
+    kind = draw(st.sampled_from(("V", "D", "I")))
+    if kind == "V":
+        cls = FinDim(draw(st.integers(0, 30)))
+    elif kind == "D":
+        cls = DiscreteSeries(draw(st.sampled_from((1, -1))), draw(st.integers(0, 30)))
+    else:
+        lam = Fraction(draw(st.integers(-30, 30)), draw(st.integers(1, 6)))
+        eps = draw(st.integers(0, 1))
+        cls = PrincipalIrr(lam, eps if principal_is_irreducible(lam, eps) else 1 - eps)
+    lo = draw(st.integers(-40, 40))
+    return cls, lo, lo + draw(st.integers(0, 40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_class_and_window())
+def test_ktypes_payload_is_the_ktype_function(case):
+    cls, lo, hi = case
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["--format", "json", "ktypes", "--window", str(lo), str(hi), "--", format_class(cls)])
+    assert code == 0
+    payload = json.loads(out.getvalue())
+    f = ktype_function(cls)
+    for key in ("parity", "tail_left", "tail_right"):
+        assert payload[key] == getattr(f, key), key
+    assert payload["table"] == [[k, mult] for k, mult in f.table(lo, hi).items()]
+
+
+def test_ktypes_of_a_huge_highest_weight_lists_no_ktypes(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("ktypes listed the K-types")
+
+    monkeypatch.setattr(KTypeFunction, "build", refuse)
+    code, out, _ = run(capsys, "ktypes", "V(1000000)", "--window", "0", "0")
+    assert (code, out) == (0, "parity 0, tail_left 0, tail_right 0\nk=0: 1\n")
+    code, out, _ = run(capsys, "ktypes", "V(1000000)", "--window", "999999", "1000003")
+    assert out.splitlines()[1:] == ["k=1000000: 1", "k=1000002: 0"]
 
 
 def test_generate_and_classify_text(capsys):

@@ -1,5 +1,7 @@
-"""The ``Ladder`` realizations and the argument checks they share.
+"""The ``Ladder`` windows of the classes and the argument checks they share.
 
+``ladder`` is pinned against hand-written windows here; the frozen K-type
+values in ``test_core.py`` stay the independent check of what it implies.
 The dense reference (``casimir_matrix`` and ``_weight_spectrum``) is run on
 the bounded ladder shapes D+(l), D-(l) and V(m1), tensored with V(m), and
 compared with ``ds_tensor`` and ``clebsch_gordan``: each weight's Casimir
@@ -11,10 +13,21 @@ from fractions import Fraction
 import pytest
 
 import sl2hc
-from sl2hc.core import DiscreteSeries, FinDim, PrincipalIrr, casimir_value, check_parity, ktype_function
+import sl2hc.oracle
+from sl2hc.core import (
+    DiscreteSeries,
+    FinDim,
+    Ladder,
+    PrincipalIrr,
+    VirtualModule,
+    casimir_value,
+    check_parity,
+    ktype_function,
+    ladder,
+    principal_is_irreducible,
+)
 from sl2hc.oracle import (
     FinDimRealization,
-    Ladder,
     PrincipalSeriesRealization,
     _weight_spectrum,
     casimir_matrix,
@@ -26,38 +39,77 @@ from sl2hc.oracle import (
 from sl2hc.tensor import clebsch_gordan, ds_tensor, ps_tensor
 
 
-def discrete_series_ladder(sign: int, l: int) -> Ladder:
-    """D+(l) or D-(l): the half-line of I(l, l+1 mod 2) cut at k = +-(l+1)."""
-    eps = (l + 1) % 2
-    return Ladder(l, eps, l + 1, None) if sign > 0 else Ladder(l, eps, None, -l - 1)
-
-
 def test_named_realizations_are_ladders():
     assert PrincipalSeriesRealization("1/2", 0) == Ladder(Fraction(1, 2), 0, None, None)
     assert FinDimRealization(2) == Ladder(Fraction(-3), 0, -2, 2)
     assert FinDimRealization(3) == Ladder(-4, 1, -3, 3)
     assert sl2hc.PrincipalSeriesRealization is PrincipalSeriesRealization
     assert sl2hc.FinDimRealization is FinDimRealization
+    assert sl2hc.oracle.Ladder is Ladder
     assert "Ladder" not in sl2hc.__all__
+
+
+@pytest.mark.parametrize(
+    "cls, expected",
+    [
+        (FinDim(0), Ladder(-1, 0, 0, 0)),
+        (FinDim(3), Ladder(-4, 1, -3, 3)),
+        (DiscreteSeries(1, 0), Ladder(0, 1, 1, None)),
+        (DiscreteSeries(1, 3), Ladder(3, 0, 4, None)),
+        (DiscreteSeries(-1, 2), Ladder(2, 1, None, -3)),
+        (PrincipalIrr(Fraction(1, 2), 1), Ladder(Fraction(1, 2), 1, None, None)),
+    ],
+)
+def test_each_class_has_its_ladder_window(cls, expected):
+    assert ladder(cls) == expected
+
+
+def test_ladder_refuses_what_is_not_a_class():
+    for bad in (Ladder(0, 0, None, None), VirtualModule.of(FinDim(0)), "V(0)", None):
+        with pytest.raises(TypeError, match="not an irreducible class"):
+            ladder(bad)
+
+
+@pytest.mark.parametrize(
+    "lam, eps, lo, hi",
+    [
+        (2, 1, 1, None),  # f_coeff(1) = 1: the lowering arrow leaves the window
+        (-3, 0, -2, 4),  # e_coeff(4) = 1: the raising arrow leaves the window
+        (-3, 0, -1, 2),  # -1 is off the parity 0
+    ],
+)
+def test_ladder_bounds_must_be_zeros_of_the_leaving_coefficient(lam, eps, lo, hi):
+    with pytest.raises(ValueError, match="ladder bound"):
+        Ladder(lam, eps, lo, hi)
+
+
+def test_every_class_window_is_accepted():
+    classes = [FinDim(m) for m in range(13)]
+    classes += [DiscreteSeries(sign, l) for sign in (1, -1) for l in range(13)]
+    for lam in sorted({Fraction(p, q) for p in range(13) for q in (1, 2, 3, 5)}):
+        classes += [PrincipalIrr(lam, eps) for eps in (0, 1) if principal_is_irreducible(lam, eps)]
+    assert len(classes) == 13 + 26 + (13 + 2 * 24)  # an integral lam is irreducible for one parity
+    for cls in classes:
+        w = ladder(cls)
+        for bound, leaving in ((w.lo, w.f_coeff), (w.hi, w.e_coeff)):
+            assert bound is None or (w.has_weight(bound) and leaving(bound) == 0)
 
 
 @pytest.mark.parametrize("sign, l", [(1, 0), (1, 3), (-1, 0), (-1, 2)])
 def test_discrete_series_ladder_is_cut_where_a_coefficient_vanishes(sign, l):
-    ladder = discrete_series_ladder(sign, l)
+    w = ladder(DiscreteSeries(sign, l))
     edge = sign * (l + 1)
-    assert ladder.has_weight(edge) and not ladder.has_weight(edge - 2 * sign)
-    assert ladder.has_weight(edge + 20 * sign)
-    assert (ladder.f_coeff(edge) if sign > 0 else ladder.e_coeff(edge)) == 0
-    for k in range(-12, 13):
-        assert ladder.has_weight(k) == (ktype_function(DiscreteSeries(sign, l)).value(k) == 1)
+    assert w.has_weight(edge) and not w.has_weight(edge - 2 * sign)
+    assert w.has_weight(edge + 20 * sign)
+    assert (w.f_coeff(edge) if sign > 0 else w.e_coeff(edge)) == 0
 
 
 def test_reducibility_points_are_the_ladders_own_zeros():
     for lam in (Fraction(n, q) for n in range(-8, 9) for q in (1, 2, 3)):
         for eps in (0, 1):
-            ladder = PrincipalSeriesRealization(lam, eps)
+            w = PrincipalSeriesRealization(lam, eps)
             for k, gen in reducibility_points(lam, eps):
-                assert (ladder.e_coeff(k) if gen == "E'" else ladder.f_coeff(k)) == 0
+                assert (w.e_coeff(k) if gen == "E'" else w.f_coeff(k)) == 0
 
 
 def _predicted(module, k: int) -> dict:
@@ -93,7 +145,7 @@ def test_dense_reference_confirms_ds_tensor():
     for sign in (1, -1):
         for l in range(5):
             for m in range(5):
-                seen += _compare(discrete_series_ladder(sign, l), m, ds_tensor(sign, l, m), l + m + 6)
+                seen += _compare(ladder(DiscreteSeries(sign, l)), m, ds_tensor(sign, l, m), l + m + 6)
     # the weights of D+-(l) (x) V(m) in the window: +-k = l+1-m, l+3-m, ..., l+m+5
     assert seen == 2 * sum(m + 3 for l in range(5) for m in range(5))
 
@@ -111,7 +163,7 @@ def test_casimir_matrix_needs_a_bounded_right_factor():
     with pytest.raises(ValueError, match="finite-dimensional factor"):
         casimir_matrix(FinDimRealization(1), PrincipalSeriesRealization(0, 1), 1)
     with pytest.raises(ValueError, match="finite-dimensional factor"):
-        casimir_matrix(FinDimRealization(1), discrete_series_ladder(1, 0), 1)
+        casimir_matrix(FinDimRealization(1), ladder(DiscreteSeries(1, 0)), 1)
 
 
 BAD_PARITIES = [True, False, 1.0, "1", 2, -1]
