@@ -7,8 +7,9 @@ The oracle's matrices are tridiagonal and are held as three integer
 diagonals ``(diag, upper, lower)``: ``upper[i]`` is entry (i, i+1) and
 ``lower[i]`` entry (i+1, i).  Production uses the routines for that form:
 the continuant recurrence for the characteristic polynomial, and Jordan
-block sizes that need no rank at all on an unreduced tridiagonal matrix and
-otherwise come from ranks of sparse rows by integer cross-elimination.
+block sizes that need no rank when one off-diagonal has no zero, and
+otherwise come from one rank of sparse rows by integer cross-elimination,
+or from the rank sequence when that rank leaves the partition open.
 
 Dense matrices are lists of row lists.  The dense routines (Bareiss rank,
 Faddeev-LeVerrier characteristic polynomial, whose divisions are exact over
@@ -19,7 +20,7 @@ compare the tridiagonal routines against.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 
 Matrix = list
@@ -218,13 +219,16 @@ def tridiagonal_char_poly(diag: list, upper: list, lower: list) -> list:
 def tridiagonal_jordan_block_sizes(diag: list, upper: list, lower: list, c, mult: int) -> tuple:
     """Jordan block sizes (descending) of an integer tridiagonal matrix at eigenvalue ``c``.
 
-    When every product upper[i] * lower[i] is nonzero the matrix is
-    unreduced, hence nonderogatory (deleting the first row and last column
-    of T - cI leaves a triangular minor with nonzero diagonal, so
-    rank(T - cI) = n - 1): one block of size ``mult``.  Otherwise the rank
-    sequence of (T - cI)^j is computed on sparse rows.
+    When every ``upper`` entry is nonzero, deleting the last row and first
+    column of T - cI leaves a triangular minor with diagonal ``upper``; when
+    every ``lower`` entry is, deleting the first row and last column leaves
+    one with diagonal ``lower``.  Either way rank(T - cI) = n - 1: one block
+    of size ``mult``, and no rank is computed.  Otherwise the number of
+    blocks g = n - rank(T - cI) is computed on sparse rows; it forces the
+    partition when g is 1, mult - 1 or mult.  For any other g the rank
+    sequence of (T - cI)^j continues from the square.
     """
-    if mult == 1 or all(u * l for u, l in zip(upper, lower)):
+    if mult == 1 or all(upper) or all(lower):
         return (mult,)
     n = len(diag)
     b = []
@@ -235,8 +239,17 @@ def tridiagonal_jordan_block_sizes(diag: list, upper: list, lower: list, c, mult
         if i + 1 < n:
             row[i + 1] = upper[i]
         b.append({j: v for j, v in row.items() if v})
+    r = sparse_rank(b)
+    g = n - r
+    if not 1 <= g <= mult:
+        raise AssertionError(f"{g} Jordan blocks at an eigenvalue of multiplicity {mult}")
+    if g == 1:
+        return (mult,)
+    if g >= mult - 1:  # g parts of mult: mult - g of size 2, the rest of size 1
+        return (2,) * (mult - g) + (1,) * (2 * g - mult)
     powers = accumulate(repeat(b, n), _sparse_mul)
-    return _sizes_from_ranks(n, mult, map(sparse_rank, powers))
+    next(powers)
+    return _sizes_from_ranks(n, mult, chain([r], map(sparse_rank, powers)))
 
 
 def _sparse_mul(a: list, b: list) -> list:

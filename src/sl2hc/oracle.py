@@ -18,11 +18,12 @@ is tridiagonal.  ``casimir_report`` builds its three diagonals directly as
 integers under one scale (``casimir_band``), scales the candidate
 eigenvalues to integers once, takes the characteristic polynomial by the
 continuant recurrence and Jordan sizes from the tridiagonal routines of
-``linalg``: no ``Fraction`` is touched per K-weight.  The generic
-construction applying Omega to free vectors of one Leibniz space
-(``casimir_matrix``; a single module is taken as its product with V(0)),
-together with the dense Faddeev-LeVerrier and Bareiss routines, is the
-reference the tests compare it against.
+``linalg``: no ``Fraction`` is touched per K-weight, and each distinct
+characteristic polynomial of a report is factored over the candidates
+once.  The generic construction applying Omega to free vectors of one
+Leibniz space (``casimir_matrix``; a single module is taken as its product
+with V(0)), together with the dense Faddeev-LeVerrier and Bareiss routines,
+is the reference the tests compare it against.
 """
 
 from __future__ import annotations
@@ -245,7 +246,8 @@ def casimir_report(lam: Scalar, eps: int, m: int, window: tuple | None = None) -
         raise ValueError(f"window [{lo},{hi}] holds no K-weight k = eps + m (mod 2)")
     p, q = lam.numerator, lam.denominator
     scaled = _scaled(eigenvalue_candidates(lam, m), q * q)
-    entries = tuple(_spectrum(k, *_diagonals(p, q, m, k), scaled) for k in range(start, hi + 1, 2))
+    factored: dict = {}
+    entries = tuple(_spectrum(k, *_diagonals(p, q, m, k), scaled, factored) for k in range(start, hi + 1, 2))
     return CasimirReport(lam, eps, m, (lo, hi), entries)
 
 
@@ -277,25 +279,35 @@ def _weight_spectrum(k: int, band, candidates) -> WeightSpectrum:
     if not isinstance(band, CasimirBand):
         mint, scale = clear_denominators(band, extra=candidates)
         band = CasimirBand(scale, *tridiagonal_of(mint))
-    return _spectrum(k, band.diag, band.upper, band.lower, _scaled(candidates, band.scale))
+    return _spectrum(k, band.diag, band.upper, band.lower, _scaled(candidates, band.scale), {})
 
 
-def _spectrum(k: int, diag: list, upper: list, lower: list, scaled: list) -> WeightSpectrum:
+def _spectrum(k: int, diag: list, upper: list, lower: list, scaled: list, factored: dict) -> WeightSpectrum:
     """``_weight_spectrum`` on integer diagonals, with the candidates given as
-    ``(value, scaled value)`` pairs: only integers meet here."""
+    ``(value, scaled value)`` pairs: only integers meet here.
+
+    ``factored`` maps each characteristic polynomial already factored, as a
+    tuple, to its ``(value, scaled value, mult)`` roots, so that equal
+    polynomials are factored once; the Jordan sizes are taken at every weight.
+    """
     n = len(diag)
-    eigen = []
-    remaining = tridiagonal_char_poly(diag, upper, lower)
-    for c, cs in scaled:
-        mult, remaining = root_multiplicity(remaining, cs)
-        if mult:
-            eigen.append((c, mult, tridiagonal_jordan_block_sizes(diag, upper, lower, cs, mult)))
-    if len(remaining) != 1:
-        raise UnexpectedEigenvalueError(
-            f"unexpected eigenvalue at K-weight {k}: char poly factor {remaining} "
-            f"has no roots among the candidates"
-        )
-    assert sum(mult for _, mult, _ in eigen) == n
+    poly = tridiagonal_char_poly(diag, upper, lower)
+    key = tuple(poly)
+    roots = factored.get(key)
+    if roots is None:
+        roots, remaining = [], poly
+        for c, cs in scaled:
+            mult, remaining = root_multiplicity(remaining, cs)
+            if mult:
+                roots.append((c, cs, mult))
+        if len(remaining) != 1:
+            raise UnexpectedEigenvalueError(
+                f"unexpected eigenvalue at K-weight {k}: char poly factor {remaining} "
+                f"has no roots among the candidates"
+            )
+        assert sum(mult for _, _, mult in roots) == n
+        factored[key] = roots
+    eigen = [(c, mult, tridiagonal_jordan_block_sizes(diag, upper, lower, cs, mult)) for c, cs, mult in roots]
     return WeightSpectrum(k, n, tuple(eigen))
 
 

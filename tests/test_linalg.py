@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import sl2hc.linalg as linalg
 from sl2hc.linalg import (
     char_poly,
     clear_denominators,
@@ -112,6 +113,16 @@ def test_sparse_rank_matches_bareiss(rows):
     assert sparse_rank(sparse) == rank(rows)
 
 
+def _dense(diag, upper, lower):
+    n = len(diag)
+    dense = [[0] * n for _ in range(n)]
+    for i in range(n):
+        dense[i][i] = diag[i]
+        if i + 1 < n:
+            dense[i][i + 1], dense[i + 1][i] = upper[i], lower[i]
+    return dense
+
+
 @given(
     st.integers(min_value=1, max_value=6).flatmap(
         lambda n: st.tuples(
@@ -124,12 +135,7 @@ def test_sparse_rank_matches_bareiss(rows):
 @settings(max_examples=80)
 def test_tridiagonal_routines_match_dense(diagonals):
     diag, upper, lower = diagonals
-    n = len(diag)
-    dense = [[0] * n for _ in range(n)]
-    for i in range(n):
-        dense[i][i] = diag[i]
-        if i + 1 < n:
-            dense[i][i + 1], dense[i + 1][i] = upper[i], lower[i]
+    dense = _dense(diag, upper, lower)
     assert tridiagonal_of(dense) == (diag, upper, lower)
     poly = tridiagonal_char_poly(diag, upper, lower)
     assert poly == char_poly(dense)
@@ -142,3 +148,77 @@ def test_tridiagonal_routines_match_dense(diagonals):
 def test_tridiagonal_of_rejects_a_full_matrix():
     with pytest.raises(ValueError):
         tridiagonal_of([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
+
+
+@st.composite
+def _reduced_tridiagonals(draw):
+    """Tridiagonals with a zero on each off-diagonal and few distinct diagonal
+    values, so that repeated eigenvalues are common."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    diag = draw(st.lists(st.integers(min_value=0, max_value=1), min_size=n, max_size=n))
+    upper = draw(st.lists(st.integers(min_value=-1, max_value=1), min_size=n - 1, max_size=n - 1))
+    lower = draw(st.lists(st.integers(min_value=-1, max_value=1), min_size=n - 1, max_size=n - 1))
+    upper[draw(st.integers(min_value=0, max_value=n - 2))] = 0
+    lower[draw(st.integers(min_value=0, max_value=n - 2))] = 0
+    return diag, upper, lower
+
+
+# (diag, upper, lower) at eigenvalue 0 -> Jordan sizes, and sparse_rank calls
+JORDAN_CASES = {
+    "upper-full": (([0, 0], [1], [0]), (2,), 0),
+    "lower-full": (([0, 0, 1], [0, 0], [1, 1]), (2,), 0),
+    "J2": (([0, 0, 1], [1, 0], [0, 0]), (2,), 1),
+    "J1+J1": (([0, 0], [0], [0]), (1, 1), 1),
+    "J3": (([0, 0, 0, 1], [1, 1, 0], [0, 0, 0]), (3,), 1),
+    "J2+J1": (([0, 0, 0], [1, 0], [0, 0]), (2, 1), 1),
+    "J1+J1+J1": (([0, 0, 0], [0, 0], [0, 0]), (1, 1, 1), 1),
+    "J2+J2": (([0, 0, 0, 0], [1, 0, 1], [0, 0, 0]), (2, 2), 2),
+    "J3+J1": (([0, 0, 0, 0], [1, 1, 0], [0, 0, 0]), (3, 1), 3),
+}
+
+
+@given(_reduced_tridiagonals())
+@example(JORDAN_CASES["J2"][0])
+@example(JORDAN_CASES["J1+J1"][0])
+@example(JORDAN_CASES["J3"][0])
+@example(JORDAN_CASES["J2+J1"][0])
+@example(JORDAN_CASES["J1+J1+J1"][0])
+@example(JORDAN_CASES["J2+J2"][0])
+@example(JORDAN_CASES["J3+J1"][0])
+@settings(max_examples=150)
+def test_reduced_tridiagonal_jordan_sizes_match_dense(diagonals):
+    diag, upper, lower = diagonals
+    dense = _dense(diag, upper, lower)
+    poly = tridiagonal_char_poly(diag, upper, lower)
+    mults = {c: root_multiplicity(poly, c)[0] for c in set(diag)}
+    assume(max(mults.values()) >= 2)
+    for c, mult in mults.items():
+        if mult:
+            assert tridiagonal_jordan_block_sizes(diag, upper, lower, c, mult) == jordan_block_sizes(dense, c, mult)
+
+
+@pytest.mark.parametrize("label", sorted(JORDAN_CASES))
+def test_tridiagonal_jordan_sizes_take_a_rank_only_where_the_partition_is_open(monkeypatch, label):
+    """No rank when an off-diagonal has no zero, one when the number of
+    blocks g forces the partition, and the rank sequence only for g = 2 at
+    multiplicity 4, the first case with two partitions into g parts."""
+    (diag, upper, lower), sizes, ranks = JORDAN_CASES[label]
+    calls = []
+
+    def counting_sparse_rank(rows):
+        calls.append(rows)
+        return sparse_rank(rows)
+
+    monkeypatch.setattr(linalg, "sparse_rank", counting_sparse_rank)
+    mult, _ = root_multiplicity(tridiagonal_char_poly(diag, upper, lower), 0)
+    assert tridiagonal_jordan_block_sizes(diag, upper, lower, 0, mult) == sizes
+    assert len(calls) == ranks
+    assert jordan_block_sizes(_dense(diag, upper, lower), 0, mult) == sizes
+
+
+def test_tridiagonal_jordan_sizes_refuse_a_wrong_multiplicity():
+    # three blocks at multiplicity 2, and none at a value that is no eigenvalue
+    with pytest.raises(AssertionError):
+        tridiagonal_jordan_block_sizes([0, 0, 0], [0, 0], [0, 0], 0, 2)
+    with pytest.raises(AssertionError):
+        tridiagonal_jordan_block_sizes([1, 1], [0], [0], 0, 2)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sl2hc.core import FinDim, PrincipalIrr, casimir_value, ktype_function
-from sl2hc.linalg import char_poly, clear_denominators, jordan_block_sizes, root_multiplicity
+from sl2hc.linalg import char_poly, clear_denominators, jordan_block_sizes, root_multiplicity, sparse_rank
 from sl2hc.oracle import (
     BlockObservation,
     FinDimRealization,
@@ -17,6 +17,7 @@ from sl2hc.oracle import (
     casimir_on_symmetric_power,
     casimir_report,
     default_window,
+    eigenvalue_candidates,
     reducibility_points,
     report_to_dict,
     verdict_to_dict,
@@ -219,16 +220,84 @@ def test_banded_oracle_matches_dense_reference(case):
     assert ws.eigenvalues == _dense_spectrum(mat, candidates)
 
 
-def test_banded_oracle_takes_both_jordan_paths():
-    # lam = 1/2 is generic: every weight space is unreduced tridiagonal
-    band = casimir_band(Fraction(1, 2), 0, 4, 0)
-    assert all(u * l for u, l in zip(band.upper, band.lower))
-    # I(1, 0) is reducible: both ladder zeros fall inside the k = 0 space of V(2)
+def test_banded_oracle_takes_all_three_jordan_paths(monkeypatch):
+    from sl2hc import linalg
+
+    calls = []
+
+    def counting_sparse_rank(rows):
+        calls.append(rows)
+        return sparse_rank(rows)
+
+    monkeypatch.setattr(linalg, "sparse_rank", counting_sparse_rank)
+    # I(1, 0) is reducible: one ladder zero falls inside the k = -2 space of
+    # V(2), which leaves `lower` without a zero: one block and no rank
+    band = casimir_band(1, 0, 2, -2)
+    assert not all(band.upper) and all(band.lower)
+    candidates = eigenvalue_candidates(Fraction(1), 2)
+    ws = _weight_spectrum(-2, band, candidates)
+    assert ws.eigenvalues == _dense_spectrum(_band_rows(band), candidates)
+    assert ws.eigenvalues[0] == (Fraction(1), 2, (2,)) and calls == []
+    # both ladder zeros fall inside the k = 0 space: one rank decides
     band = casimir_band(1, 0, 2, 0)
-    assert not all(u * l for u, l in zip(band.upper, band.lower))
-    candidates = sorted({(1 + 2 - 2 * j) ** 2 for j in range(3)})
+    assert not all(band.upper) and not all(band.lower)
     ws = _weight_spectrum(0, band, candidates)
     assert ws.eigenvalues == _dense_spectrum(_band_rows(band), candidates)
+    assert len(calls) == 1
+    # no Casimir value repeats more than twice, so only a matrix given
+    # directly reaches the rank sequence: J2 + J2 at 0
+    rows = [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
+    assert _weight_spectrum(0, rows, (Fraction(0),)).eigenvalues == ((Fraction(0), 4, (2, 2)),)
+    assert len(calls) == 3
+
+
+@st.composite
+def _report_cases(draw):
+    """(lam, eps, m, window) with integral lam half the time; the window
+    starts on a weight and holds up to 13 of them."""
+    m = draw(st.integers(min_value=0, max_value=10))
+    if draw(st.booleans()):
+        lam = Fraction(draw(st.integers(min_value=-8, max_value=8)))
+    else:
+        lam = Fraction(draw(st.integers(min_value=-20, max_value=20)), draw(st.sampled_from((2, 3, 5))))
+    eps = draw(st.integers(min_value=0, max_value=1))
+    lo = eps + m + 2 * draw(st.integers(min_value=-12, max_value=12))
+    return lam, eps, m, (lo, lo + draw(st.integers(min_value=0, max_value=24)))
+
+
+@given(_report_cases())
+@settings(max_examples=60, deadline=None)
+def test_casimir_report_equals_each_weight_factored_alone(case):
+    lam, eps, m, (lo, hi) = case
+    candidates = eigenvalue_candidates(lam, m)
+    expected = tuple(_weight_spectrum(k, casimir_band(lam, eps, m, k), candidates) for k in range(lo, hi + 1, 2))
+    assert casimir_report(*case).entries == expected
+
+
+@pytest.mark.parametrize(
+    "lam, eps, m, window, dropped, k, factor",
+    [
+        (Fraction(1, 2), 0, 1, (-5, 5), 1, -5, [1, -9]),
+        (0, 0, 1, (-5, 5), 0, -5, [1, -2, 1]),
+        (2, 1, 3, (-11, 11), 0, -10, [1, -2, 1]),
+    ],
+)
+def test_casimir_report_names_the_first_weight_without_a_candidate(
+    monkeypatch, lam, eps, m, window, dropped, k, factor
+):
+    from sl2hc import oracle
+
+    def fewer_candidates(lam, m):
+        values = list(eigenvalue_candidates(lam, m))
+        del values[dropped]
+        return tuple(values)
+
+    monkeypatch.setattr(oracle, "eigenvalue_candidates", fewer_candidates)
+    with pytest.raises(UnexpectedEigenvalueError) as error:
+        casimir_report(lam, eps, m, window)
+    assert str(error.value) == (
+        f"unexpected eigenvalue at K-weight {k}: char poly factor {factor} has no roots among the candidates"
+    )
 
 
 def test_casimir_band_requires_a_vector():

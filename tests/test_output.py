@@ -79,6 +79,23 @@ def test_verify_output_bytes_are_pinned(capsys, q, fmt):
     assert digest.hexdigest() == VERIFY_SHA256[q, fmt]
 
 
+# sha256 over "p eps m: <exit code>\n<stdout>" for `sl2hc --format json verify -- p eps m`,
+# -3 <= p <= 3, eps in {0, 1}, m in {8, 16}: integral lam at large m, where many weight
+# spaces are reduced tridiagonal; recorded from the oracle that factored every weight's
+# characteristic polynomial and took Jordan sizes from the full rank sequence
+VERIFY_LARGE_M_SHA256 = "7366da34ab78b29816eb144ee78506352822a2acec158de20879aa94434aebfd"
+
+
+def test_verify_output_bytes_at_large_m_are_pinned(capsys):
+    digest = hashlib.sha256()
+    for p in range(-3, 4):
+        for eps in "01":
+            for m in ("8", "16"):
+                code = main(["--format", "json", "verify", "--", str(p), eps, m])
+                digest.update(f"{p} {eps} {m}: {code}\n{capsys.readouterr().out}".encode("ascii"))
+    assert digest.hexdigest() == VERIFY_LARGE_M_SHA256
+
+
 class _CountingStdout(io.StringIO):
     def __init__(self) -> None:
         super().__init__()
