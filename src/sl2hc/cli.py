@@ -120,14 +120,15 @@ def _verify_line(verdict) -> str:
 
 # --- commands -------------------------------------------------------------------
 #
-# Each command computes its result once and returns (payload, text lines).
-# The lines are a generator, so a JSON run never renders them.
+# Each command computes its result once and returns (payload, text lines,
+# passed); a check that ran and failed returns passed False.  The lines are a
+# generator, so a JSON run never renders them.
 
 
 def _cmd_cg(args):
     product = clebsch_gordan(args.m1, args.m2)
     payload = {"command": "cg", "m1": args.m1, "m2": args.m2, "module": _module_to_dict(product)}
-    return payload, _line(format_virtual_module, product)
+    return payload, _line(format_virtual_module, product), True
 
 
 def _cmd_series(args):
@@ -140,7 +141,7 @@ def _cmd_series(args):
         "split": structure.split,
         "layers": [[format_class(c) for c in layer] for layer in structure.layers],
     }
-    return payload, _series_lines(payload)
+    return payload, _series_lines(payload), True
 
 
 def _series_lines(p: dict):
@@ -157,10 +158,10 @@ def _cmd_tensor(args):
     if isinstance(cls, PrincipalIrr):
         summands = ps_tensor(cls.lam, cls.eps, args.m)
         payload.update(decomposition_to_dict(summands))
-        return payload, _line(" (+) ".join, map(format_summand, summands))
+        return payload, _line(" (+) ".join, map(format_summand, summands)), True
     product = tensor_with_finite(cls, args.m)
     payload["module"] = _module_to_dict(product)
-    return payload, _line(format_virtual_module, product)
+    return payload, _line(format_virtual_module, product), True
 
 
 def _cmd_ktypes(args):
@@ -175,7 +176,7 @@ def _cmd_ktypes(args):
         "window": [lo, hi],
         "table": [[k, int(w.has_weight(k))] for k in range(lo + (lo - w.eps) % 2, hi + 1, 2)],
     }
-    return payload, _ktypes_lines(payload)
+    return payload, _ktypes_lines(payload), True
 
 
 def _ktypes_lines(p: dict):
@@ -193,7 +194,7 @@ def _cmd_generate(args):
         "generators": [format_class(c) for c in args.classes],
         "points": [format_point(p) for p in sorted(points, key=point_sort_key)],
     }
-    return payload, _line(_braces, payload["points"])
+    return payload, _line(_braces, payload["points"]), True
 
 
 def _cmd_classify(args):
@@ -206,7 +207,7 @@ def _cmd_classify(args):
         "closure": [format_point(p) for p in sorted(closure_set, key=point_sort_key)],
         "index": format_scalar(index),
     }
-    return payload, _line("closure {}, index {}".format, _braces(payload["closure"]), payload["index"])
+    return payload, _line("closure {}, index {}".format, _braces(payload["closure"]), payload["index"]), True
 
 
 def _cmd_lattice(args):
@@ -239,7 +240,7 @@ def _cmd_lattice(args):
         "specializations": [[format_point(a), format_point(b)] for a, b in specialization_edges(points)],
     }
     render = _lattice_dot if args.format == "dot" else _lattice_text
-    return payload, render(payload)
+    return payload, render(payload), True
 
 
 def _lattice_text(p: dict):
@@ -288,10 +289,13 @@ def verify_tensor(*args):
 
 
 def _cmd_verify(args):
-    from .oracle import verdict_to_dict
-
     verdict = verify_tensor(args.lam, args.eps, args.m, tuple(args.window) if args.window else None)
-    return {"command": "verify", **verdict_to_dict(verdict)}, _line(_verify_line, verdict)
+    payload = {"command": "verify"}
+    if args.format == "json":  # the text line formats no per-weight spectrum
+        from .oracle import verdict_to_dict
+
+        payload.update(verdict_to_dict(verdict))
+    return payload, _line(_verify_line, verdict), verdict.passed
 
 
 def _cmd_sweep(args):
@@ -317,7 +321,7 @@ def _cmd_sweep(args):
         "failures": failures,
         "passed": failures == 0,
     }
-    return payload, _sweep_lines(verdicts, failures)
+    return payload, _sweep_lines(verdicts, failures), failures == 0
 
 
 def _sweep_lines(verdicts: list, failures: int):
@@ -469,7 +473,7 @@ def main(argv: list[str] | None = None) -> int:
         window = getattr(args, "window", None)
         if window and window[0] > window[1]:
             raise ValueError("argument --window: lower bound exceeds upper bound")
-        payload, lines = args.func(args)
+        payload, lines, passed = args.func(args)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -485,7 +489,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # as the Python docs' SIGPIPE note: silence the exit flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    return 3 if payload.get("verdict") == "FAIL" or payload.get("passed") is False else 0
+    return 0 if passed else 3
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ or not, and ``FinDimRealization`` for V(m).  The Casimir element
 
 acts on a tensor product through the coproduct g -> g(x)1 + 1(x)g and
 preserves each total K-weight, so its matrix on the (finite-dimensional)
-weight-k subspace of (ladder) (x) V(m) is exactly computable.
+weight-k subspace W_k of (ladder) (x) V(m) is exactly computable.
 Comparing its generalized eigenvalue multiplicities with the closed-form
 prediction is a genuinely independent check: nothing here consults the
 decomposition formulas.
@@ -16,14 +16,27 @@ decomposition formulas.
 On the basis (a, b) of a weight space, ordered by b ascending, that matrix
 is tridiagonal.  ``casimir_report`` builds its three diagonals directly as
 integers under one scale (``casimir_band``), scales the candidate
-eigenvalues to integers once, takes the characteristic polynomial by the
-continuant recurrence and Jordan sizes from the tridiagonal routines of
-``linalg``: no ``Fraction`` is touched per K-weight, and each distinct
-characteristic polynomial of a report is factored over the candidates
-once.  The generic construction applying Omega to free vectors of one
-Leibniz space (``casimir_matrix``; a single module is taken as its product
-with V(0)), together with the dense Faddeev-LeVerrier and Bareiss routines,
-is the reference the tests compare it against.
+eigenvalues to integers once, and uses the continuant recurrence and the
+Jordan routines of ``linalg``: no ``Fraction`` is touched per K-weight.  Two
+sl(2) identities, which use only the ladder coefficients, spare most of the
+weights:
+
+- E'F' - F'E' = H' on each factor, hence on the product, so on W_k
+  F'E' = (Omega - (k+1)^2)/4, and on W_{k+2} E'F' is the same expression.
+  AB and BA have one characteristic polynomial (Sylvester's determinant
+  identity), so every W_k has the same one, taken and factored once per
+  report.
+- Omega commutes with E'_k : W_k -> W_{k+2} and F'_{k+2} : W_{k+2} -> W_k,
+  which are bidiagonal in the b-ordered bases.  Where either is invertible
+  it makes Omega on W_k and on W_{k+2} similar, so the Jordan sizes change
+  only at a break, where both are singular, and are taken once per
+  break-free segment.
+
+The generic construction applying Omega to free vectors of one Leibniz
+space (``casimir_matrix``; a single module is taken as its product with
+V(0)), spectra taken weight by weight (``_weight_spectrum``), and the dense
+Faddeev-LeVerrier and Bareiss routines are the reference the tests compare
+it against.
 """
 
 from __future__ import annotations
@@ -222,7 +235,8 @@ class CasimirReport(Record):
 
 
 def default_window(lam: Scalar, eps: int, m: int) -> tuple:
-    """Symmetric window; the bound |lam|+m+6 snapped up to the K-type parity."""
+    """Symmetric window; the bound |lam|+m+6 snapped up to the K-type parity.
+    Breaks lie within |k| <= |lam|+m+1, so it holds each with weights beyond."""
     lam = as_scalar(lam)
     bound = math.ceil(abs(lam) + m + 6)
     if (bound - (eps + m)) % 2 != 0:
@@ -231,7 +245,13 @@ def default_window(lam: Scalar, eps: int, m: int) -> tuple:
 
 
 def casimir_report(lam: Scalar, eps: int, m: int, window: tuple | None = None) -> CasimirReport:
-    """Exact Casimir eigenstructure of (principal series) (x) V(m) per K-weight."""
+    """Exact Casimir eigenstructure of (principal series) (x) V(m) per K-weight.
+
+    By the identities of the module docstring, the characteristic polynomial
+    is taken and factored once, at the window's first weight (which an
+    ``UnexpectedEigenvalueError`` names), and Jordan sizes at that weight and
+    just after each break.  Every other weight shares its segment's tuple.
+    """
     lam = as_scalar(lam)
     check_parity(eps)
     check_highest_weight(m)
@@ -245,10 +265,30 @@ def casimir_report(lam: Scalar, eps: int, m: int, window: tuple | None = None) -
     if start > hi:
         raise ValueError(f"window [{lo},{hi}] holds no K-weight k = eps + m (mod 2)")
     p, q = lam.numerator, lam.denominator
-    scaled = _scaled(eigenvalue_candidates(lam, m), q * q)
-    factored: dict = {}
-    entries = tuple(_spectrum(k, *_diagonals(p, q, m, k), scaled, factored) for k in range(start, hi + 1, 2))
-    return CasimirReport(lam, eps, m, (lo, hi), entries)
+    band = _diagonals(p, q, m, start)
+    roots = _roots(start, tridiagonal_char_poly(*band), _scaled(eigenvalue_candidates(lam, m), q * q))
+    breaks = _breaks(lam, eps, m)
+    eigen = _spectrum(*band, roots)
+    entries = [WeightSpectrum(start, m + 1, eigen)]
+    for k in range(start + 2, hi + 1, 2):
+        if k - 2 in breaks:
+            eigen = _spectrum(*_diagonals(p, q, m, k), roots)
+        entries.append(WeightSpectrum(k, m + 1, eigen))
+    return CasimirReport(lam, eps, m, (lo, hi), tuple(entries))
+
+
+def _breaks(lam: Fraction, eps: int, m: int) -> frozenset:
+    """The weights k of I(lam, eps) (x) V(m) where E'_k and F'_{k+2} are both singular.
+
+    Their diagonals are e(k-b) and f(k+2-b), b = -m, -m+2, ..., m, and the
+    ladder's e(a) vanishes only at a = -lam-1, f(a) only at a = lam+1: both
+    ladder weights only when I(lam, eps) is reducible.
+    """
+    p = lam.numerator
+    if lam.denominator != 1 or (p + 1 - eps) % 2:
+        return frozenset()
+    bs = range(-m, m + 1, 2)
+    return frozenset({b - p - 1 for b in bs} & {b + p - 1 for b in bs})
 
 
 def eigenvalue_candidates(lam: Fraction, m: int) -> tuple:
@@ -270,7 +310,8 @@ def _scaled(candidates, scale: int) -> list:
 
 
 def _weight_spectrum(k: int, band, candidates) -> WeightSpectrum:
-    """Eigenvalues, multiplicities and Jordan sizes of one weight space's Casimir.
+    """Eigenvalues, multiplicities and Jordan sizes of one weight space's
+    Casimir, taken at that weight alone: the reference for ``casimir_report``.
 
     ``band`` is a ``CasimirBand``, or the dense rows of a tridiagonal
     rational matrix.  Every eigenvalue must be among ``candidates``, whose
@@ -279,36 +320,36 @@ def _weight_spectrum(k: int, band, candidates) -> WeightSpectrum:
     if not isinstance(band, CasimirBand):
         mint, scale = clear_denominators(band, extra=candidates)
         band = CasimirBand(scale, *tridiagonal_of(mint))
-    return _spectrum(k, band.diag, band.upper, band.lower, _scaled(candidates, band.scale), {})
+    diagonals = band.diag, band.upper, band.lower
+    roots = _roots(k, tridiagonal_char_poly(*diagonals), _scaled(candidates, band.scale))
+    return WeightSpectrum(k, len(band.diag), _spectrum(*diagonals, roots))
 
 
-def _spectrum(k: int, diag: list, upper: list, lower: list, scaled: list, factored: dict) -> WeightSpectrum:
-    """``_weight_spectrum`` on integer diagonals, with the candidates given as
-    ``(value, scaled value)`` pairs: only integers meet here.
+def _roots(k: int, poly: list, scaled: list) -> list:
+    """The ``(value, scaled value, mult)`` roots of the characteristic
+    polynomial at weight k among the ``(value, scaled value)`` candidates;
+    a factor left over is an ``UnexpectedEigenvalueError`` naming k."""
+    roots, remaining = [], poly
+    for c, cs in scaled:
+        mult, remaining = root_multiplicity(remaining, cs)
+        if mult:
+            roots.append((c, cs, mult))
+    if len(remaining) != 1:
+        raise UnexpectedEigenvalueError(
+            f"unexpected eigenvalue at K-weight {k}: char poly factor {remaining} "
+            f"has no roots among the candidates"
+        )
+    return roots
 
-    ``factored`` maps each characteristic polynomial already factored, as a
-    tuple, to its ``(value, scaled value, mult)`` roots, so that equal
-    polynomials are factored once; the Jordan sizes are taken at every weight.
-    """
-    n = len(diag)
-    poly = tridiagonal_char_poly(diag, upper, lower)
-    key = tuple(poly)
-    roots = factored.get(key)
-    if roots is None:
-        roots, remaining = [], poly
-        for c, cs in scaled:
-            mult, remaining = root_multiplicity(remaining, cs)
-            if mult:
-                roots.append((c, cs, mult))
-        if len(remaining) != 1:
-            raise UnexpectedEigenvalueError(
-                f"unexpected eigenvalue at K-weight {k}: char poly factor {remaining} "
-                f"has no roots among the candidates"
-            )
-        assert sum(mult for _, _, mult in roots) == n
-        factored[key] = roots
-    eigen = [(c, mult, tridiagonal_jordan_block_sizes(diag, upper, lower, cs, mult)) for c, cs, mult in roots]
-    return WeightSpectrum(k, n, tuple(eigen))
+
+def _spectrum(diag: list, upper: list, lower: list, roots: list) -> tuple:
+    """The ``(value, mult, Jordan sizes)`` of one weight space's integer
+    diagonals with the ``_roots`` of any weight (the first identity of the
+    module docstring); Jordan sizes are taken only at multiplicity 2 or more."""
+    return tuple(
+        (c, mult, (1,) if mult == 1 else tridiagonal_jordan_block_sizes(diag, upper, lower, cs, mult))
+        for c, cs, mult in roots
+    )
 
 
 # --- closed form vs oracle ----------------------------------------------------
@@ -348,7 +389,8 @@ def verify_tensor(lam: Scalar, eps: int, m: int, window: tuple | None = None) ->
     weights.  So the prediction is one ``((value, mult), ...)``, the blocks
     counted by value, the same at every weight.  It is built once, on the
     report's own value objects, and compared with the observed pairs mostly
-    by identity.  Disagreement is a verdict, not an error.
+    by identity, once per segment of the report, as are the Jordan profiles
+    at the glued values.  Disagreement is a verdict, not an error.
     """
     lam = as_scalar(lam)
     check_parity(eps)
@@ -371,15 +413,17 @@ def verify_tensor(lam: Scalar, eps: int, m: int, window: tuple | None = None) ->
     predicted = tuple(sorted(counts.items(), key=itemgetter(0)))
 
     entries = []
+    segment, passed = None, True
     for ws in report.entries:
-        observed = tuple([(value, mult) for value, mult, _ in ws.eigenvalues])
-        entries.append(VerifyEntry(ws.k, ws.dim, ws.eigenvalues, predicted, observed == predicted))
-        if glued:
-            for value, _, sizes in ws.eigenvalues:
+        if ws.eigenvalues is not segment:  # the first weight of a segment
+            segment = ws.eigenvalues
+            match = tuple([(value, mult) for value, mult, _ in segment]) == predicted
+            passed = passed and match
+            for value, _, sizes in segment:
                 if value in glued:
                     glued[value].add(sizes)
+        entries.append(VerifyEntry(ws.k, ws.dim, segment, predicted, match))
     observations = tuple(BlockObservation(v, tuple(sorted(glued[v]))) for v in sorted(glued))
-    passed = all(e.match for e in entries)
     return VerificationVerdict(lam, eps, m, report.window, tuple(entries), observations, passed)
 
 

@@ -98,6 +98,27 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert out == "FAIL (k=3: predicted 1/4:1; observed 9/4:1)\n"
 
 
+def test_text_verify_and_sweep_render_no_json_payload(capsys, monkeypatch):
+    from sl2hc import oracle
+
+    def refuse(verdict):
+        raise AssertionError("a text run rendered the JSON payload")
+
+    monkeypatch.setattr(oracle, "verdict_to_dict", refuse)
+    assert run(capsys, "verify", "--", "3", "0", "8") == (0, "PASS (k in [-18,18]: spectra match)\n", "")
+    code, out, _ = run(capsys, "sweep", "--lambdas=0,1/2", "--ms=0,1")
+    assert (code, out.splitlines()[-1]) == (0, "SWEEP PASS (8 verifications)")
+
+
+def test_json_verify_failure_exit_code(capsys, monkeypatch):
+    entry = VerifyEntry(3, 1, ((Fraction(9, 4), 1, (1,)),), ((Fraction(1, 4), 1),), False)
+    fake = VerificationVerdict(Fraction(1, 2), 0, 0, (-3, 3), (entry,), (), False)
+    monkeypatch.setattr(cli, "verify_tensor", lambda *a, **kw: fake)
+    code, out, _ = run(capsys, "--format", "json", "verify", "1/2", "0", "0")
+    assert code == 3
+    assert json.loads(out)["verdict"] == "FAIL"
+
+
 def test_tensor_text(capsys):
     code, out, _ = run(capsys, "tensor", "I(1/2,0)", "1")
     assert (code, out) == (0, "I(3/2,1) (+) I(1/2,1)\n")

@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sl2hc.core import FinDim, PrincipalIrr, casimir_value, ktype_function
-from sl2hc.linalg import char_poly, clear_denominators, jordan_block_sizes, root_multiplicity, sparse_rank
+from sl2hc.linalg import (
+    char_poly,
+    clear_denominators,
+    jordan_block_sizes,
+    rank,
+    root_multiplicity,
+    sparse_rank,
+    tridiagonal_char_poly,
+    tridiagonal_jordan_block_sizes,
+)
 from sl2hc.oracle import (
     BlockObservation,
     FinDimRealization,
@@ -22,6 +31,8 @@ from sl2hc.oracle import (
     report_to_dict,
     verdict_to_dict,
     verify_tensor,
+    _breaks,
+    _diagonals,
     _weight_spectrum,
 )
 from sl2hc.tensor import Irr, LengthTwo, block_parameter, decomposition_semisimplification, ps_tensor
@@ -272,6 +283,133 @@ def test_casimir_report_equals_each_weight_factored_alone(case):
     candidates = eigenvalue_candidates(lam, m)
     expected = tuple(_weight_spectrum(k, casimir_band(lam, eps, m, k), candidates) for k in range(lo, hi + 1, 2))
     assert casimir_report(*case).entries == expected
+
+
+def _dense_entries(lam, eps, m, window):
+    """Each weight of the window taken alone on the dense ``casimir_matrix``."""
+    left, right = PrincipalSeriesRealization(lam, eps), FinDimRealization(m)
+    candidates = sorted({(Fraction(lam) + m - 2 * j) ** 2 for j in range(m + 1)})
+    lo, hi = window
+    return tuple(
+        _weight_spectrum(k, casimir_matrix(left, right, k), candidates)
+        for k in range(lo, hi + 1)
+        if (k - eps - m) % 2 == 0
+    )
+
+
+@st.composite
+def _segment_cases(draw):
+    """(lam, eps, m, window).  Half the draws take an integral lam with
+    |lam| <= m of the reducible parity, where breaks exist, and a window that
+    crosses the break zone |k| <= |lam|+m+1; the rest take lam = p/q and a
+    window anywhere near it."""
+    m = draw(st.integers(min_value=0, max_value=8))
+    if draw(st.booleans()):
+        lam = Fraction(draw(st.integers(min_value=-m, max_value=m)))
+        eps = (lam.numerator + 1) % 2
+        reach = int(abs(lam)) + m + 1
+        lo = draw(st.integers(min_value=-reach - 6, max_value=-2))
+        hi = draw(st.integers(min_value=0, max_value=reach + 6))
+    else:
+        lam = Fraction(draw(st.integers(min_value=-9, max_value=9)), draw(st.sampled_from((1, 2, 3))))
+        eps = draw(st.integers(min_value=0, max_value=1))
+        lo = draw(st.integers(min_value=-20, max_value=20))
+        hi = lo + draw(st.integers(min_value=1, max_value=24))
+    return lam, eps, m, (lo, hi)
+
+
+@given(_segment_cases())
+@settings(max_examples=60, deadline=None)
+def test_segmented_report_equals_the_dense_reference_at_every_weight(case):
+    assert casimir_report(*case).entries == _dense_entries(*case)
+
+
+@given(
+    st.integers(min_value=-12, max_value=12),
+    st.sampled_from((1, 2, 3, 5)),
+    st.integers(min_value=0, max_value=10),
+    st.integers(min_value=-20, max_value=20),
+    st.integers(min_value=0, max_value=15),
+)
+@settings(max_examples=80, deadline=None)
+def test_characteristic_polynomial_is_one_polynomial_over_a_window(p, q, m, lo, count):
+    polys = {tuple(tridiagonal_char_poly(*_diagonals(p, q, m, lo + 2 * i))) for i in range(count + 1)}
+    assert len(polys) == 1
+
+
+def test_an_empty_break_set_fails_the_dense_reference(monkeypatch):
+    from sl2hc import oracle
+
+    case = (3, 0, 8, default_window(3, 0, 8))
+    dense = _dense_entries(*case)
+    assert casimir_report(*case).entries == dense
+    monkeypatch.setattr(oracle, "_breaks", lambda lam, eps, m: frozenset())
+    assert casimir_report(*case).entries != dense
+
+
+@pytest.mark.parametrize(
+    "lam, eps, m, window",
+    [(3, 0, 8, None), (-2, 1, 6, (-30, 30)), (0, 1, 1, None), (Fraction(7, 5), 0, 16, None), (3, 0, 8, (31, 61))],
+)
+def test_one_characteristic_polynomial_per_report_and_no_jordan_call_at_multiplicity_one(
+    monkeypatch, lam, eps, m, window
+):
+    from sl2hc import oracle
+
+    polys, jordans = [], []
+
+    def counting_char_poly(*args):
+        polys.append(args)
+        return tridiagonal_char_poly(*args)
+
+    def counting_jordan(diag, upper, lower, c, mult):
+        jordans.append(mult)
+        return tridiagonal_jordan_block_sizes(diag, upper, lower, c, mult)
+
+    monkeypatch.setattr(oracle, "tridiagonal_char_poly", counting_char_poly)
+    monkeypatch.setattr(oracle, "tridiagonal_jordan_block_sizes", counting_jordan)
+    report = casimir_report(lam, eps, m, window)
+    assert len(polys) == 1
+    assert all(mult >= 2 for mult in jordans)
+    # Jordan sizes once per segment: at the first weight and after each break
+    breaks = _breaks(Fraction(lam), eps, m)
+    starts = 1 + sum(1 for ws in report.entries[1:] if ws.k - 2 in breaks)
+    repeated = sum(1 for _, mult, _ in report.entries[0].eigenvalues if mult >= 2)
+    assert len(jordans) == starts * repeated
+
+
+def _ladder_map(space, gen, k):
+    """The matrix of E' (gen "E", k to k+2) or F' (gen "F", k+2 to k) between
+    the weight spaces of ``space``, cleared of denominators."""
+    source, target = (k, k + 2) if gen == "E" else (k + 2, k)
+    rows = {key: i for i, key in enumerate(space.basis_at(target))}
+    columns = space.basis_at(source)
+    mat = [[Fraction(0)] * len(columns) for _ in rows]
+    for j, key in enumerate(columns):
+        for image, c in space.apply(gen, {key: Fraction(1)}).items():
+            mat[rows[image]][j] = c
+    return clear_denominators(mat)[0]
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_breaks_are_where_both_ladder_maps_are_singular_and_inside_the_default_window(m):
+    from sl2hc.oracle import _TensorSpace
+
+    for lam in [Fraction(p, q) for p in range(-8, 9) for q in (1, 2, 3) if Fraction(p, q).denominator == q]:
+        for eps in (0, 1):
+            space = _TensorSpace(PrincipalSeriesRealization(lam, eps), FinDimRealization(m))
+            lo, hi = default_window(lam, eps, m)
+            singular = {
+                k
+                for k in range(lo - 10, hi + 10)
+                if (k - eps - m) % 2 == 0
+                and all(rank(_ladder_map(space, gen, k)) < m + 1 for gen in "EF")
+            }
+            breaks = _breaks(lam, eps, m)
+            assert breaks == singular, (lam, eps, m)
+            assert bool(breaks) == (lam.denominator == 1 and (lam.numerator + eps) % 2 == 1 and abs(lam) <= m)
+            # a break between k and k+2 has a weight of the window on each side of both
+            assert all(lo <= k - 2 and k + 4 <= hi and abs(k) <= abs(lam) + m + 1 for k in breaks), (lam, eps, m)
 
 
 @pytest.mark.parametrize(
