@@ -9,7 +9,7 @@ diagonals ``(diag, upper, lower)``: ``upper[i]`` is entry (i, i+1) and
 the continuant recurrence for the characteristic polynomial, and Jordan
 block sizes that need no rank when one off-diagonal has no zero, and
 otherwise come from one rank of sparse rows by integer cross-elimination,
-or from the rank sequence when that rank leaves the partition open.
+or from the dense rank sequence when that rank leaves the partition open.
 
 Dense matrices are lists of row lists.  The dense routines (Bareiss rank,
 Faddeev-LeVerrier characteristic polynomial, whose divisions are exact over
@@ -20,7 +20,7 @@ compare the tridiagonal routines against.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from math import gcd, lcm
 
 Matrix = list
@@ -146,23 +146,14 @@ def jordan_block_sizes(a: Matrix, c, mult: int) -> tuple:
     """Jordan block sizes (descending) of integer matrix ``a`` at eigenvalue ``c``.
 
     ``mult`` is the known algebraic multiplicity; the rank sequence of powers
-    of (a - c I) determines the partition.
+    of (a - c I), taken only until the rank reaches n - mult, determines the
+    partition.
     """
     if mult == 1:
         return (1,)
-    b = mat_sub_scalar(a, c)
-    powers = accumulate(repeat(b, len(a)), mat_mul)
-    return _sizes_from_ranks(len(a), mult, map(rank, powers))
-
-
-def _sizes_from_ranks(n: int, mult: int, ranks) -> tuple:
-    """Jordan block sizes at an eigenvalue of algebraic multiplicity ``mult``.
-
-    ``ranks`` iterates over the ranks of B, B^2, ... for B = a - c I of size
-    n; it is consumed only until the rank reaches n - mult.
-    """
+    n = len(a)
+    ranks = map(rank, accumulate(repeat(mat_sub_scalar(a, c), n), mat_mul))
     seq = [n]
-    ranks = iter(ranks)
     while seq[-1] > n - mult:
         r = next(ranks, None)
         if r is None:
@@ -225,8 +216,8 @@ def tridiagonal_jordan_block_sizes(diag: list, upper: list, lower: list, c, mult
     one with diagonal ``lower``.  Either way rank(T - cI) = n - 1: one block
     of size ``mult``, and no rank is computed.  Otherwise the number of
     blocks g = n - rank(T - cI) is computed on sparse rows; it forces the
-    partition when g is 1, mult - 1 or mult.  For any other g the rank
-    sequence of (T - cI)^j continues from the square.
+    partition when g is 1, mult - 1 or mult.  For any other g the dense
+    ``jordan_block_sizes`` takes the rank sequence of (T - cI)^j.
     """
     if mult == 1 or all(upper) or all(lower):
         return (mult,)
@@ -239,28 +230,14 @@ def tridiagonal_jordan_block_sizes(diag: list, upper: list, lower: list, c, mult
         if i + 1 < n:
             row[i + 1] = upper[i]
         b.append({j: v for j, v in row.items() if v})
-    r = sparse_rank(b)
-    g = n - r
+    g = n - sparse_rank(b)
     if not 1 <= g <= mult:
         raise AssertionError(f"{g} Jordan blocks at an eigenvalue of multiplicity {mult}")
     if g == 1:
         return (mult,)
     if g >= mult - 1:  # g parts of mult: mult - g of size 2, the rest of size 1
         return (2,) * (mult - g) + (1,) * (2 * g - mult)
-    powers = accumulate(repeat(b, n), _sparse_mul)
-    next(powers)
-    return _sizes_from_ranks(n, mult, chain([r], map(sparse_rank, powers)))
-
-
-def _sparse_mul(a: list, b: list) -> list:
-    out = []
-    for row in a:
-        acc: dict = {}
-        for k, x in row.items():
-            for j, y in b[k].items():
-                acc[j] = acc.get(j, 0) + x * y
-        out.append({j: v for j, v in acc.items() if v})
-    return out
+    return jordan_block_sizes([[row.get(j, 0) for j in range(n)] for row in b], 0, mult)
 
 
 def sparse_rank(rows: list) -> int:

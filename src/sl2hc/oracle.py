@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import itemgetter
 
 from .core import (
     FinDim,
@@ -387,44 +386,36 @@ def verify_tensor(lam: Scalar, eps: int, m: int, window: tuple | None = None) ->
     of parity e exactly once, at Casimir value t^2; the blocks have parity
     eps+m, and one of any other parity would predict nothing at these
     weights.  So the prediction is one ``((value, mult), ...)``, the blocks
-    counted by value, the same at every weight.  It is built once, on the
-    report's own value objects, and compared with the observed pairs mostly
-    by identity, once per segment of the report, as are the Jordan profiles
-    at the glued values.  Disagreement is a verdict, not an error.
+    counted by value, the same at every weight.  Every weight of the report
+    has the same ``(value, mult)`` pairs, from its one characteristic
+    polynomial, so one comparison decides the verdict and every entry's
+    ``match``; the Jordan profiles at the glued values are gathered once per
+    segment.  Disagreement is a verdict, not an error.
     """
     lam = as_scalar(lam)
     check_parity(eps)
     summands = ps_tensor(lam, eps, m)
     report = casimir_report(lam, eps, m, window)
 
-    # every weight holds every candidate; a value missing here compares by equality
-    shared = {v: v for v, _, _ in report.entries[0].eigenvalues}
     parity = (eps + m) % 2
     counts: dict = {}
     glued: dict = {}  # value of a LengthTwo block -> the Jordan profiles seen there
     for s in summands:
         for b in s.blocks:
             value = b.lam ** 2
-            value = shared.get(value, value)
             if b.eps == parity:
                 counts[value] = counts.get(value, 0) + 1
             if isinstance(s, LengthTwo):
                 glued.setdefault(value, set())
-    predicted = tuple(sorted(counts.items(), key=itemgetter(0)))
-
-    entries = []
-    segment, passed = None, True
-    for ws in report.entries:
-        if ws.eigenvalues is not segment:  # the first weight of a segment
-            segment = ws.eigenvalues
-            match = tuple([(value, mult) for value, mult, _ in segment]) == predicted
-            passed = passed and match
-            for value, _, sizes in segment:
-                if value in glued:
-                    glued[value].add(sizes)
-        entries.append(VerifyEntry(ws.k, ws.dim, segment, predicted, match))
+    predicted = tuple(sorted(counts.items()))
+    passed = tuple([(value, mult) for value, mult, _ in report.entries[0].eigenvalues]) == predicted
+    for segment in {id(ws.eigenvalues): ws.eigenvalues for ws in report.entries}.values():
+        for value, _, sizes in segment:
+            if value in glued:
+                glued[value].add(sizes)
+    entries = tuple(VerifyEntry(ws.k, ws.dim, ws.eigenvalues, predicted, passed) for ws in report.entries)
     observations = tuple(BlockObservation(v, tuple(sorted(glued[v]))) for v in sorted(glued))
-    return VerificationVerdict(lam, eps, m, report.window, tuple(entries), observations, passed)
+    return VerificationVerdict(lam, eps, m, report.window, entries, observations, passed)
 
 
 # --- serialization helpers ----------------------------------------------------

@@ -172,8 +172,8 @@ JORDAN_CASES = {
     "J3": (([0, 0, 0, 1], [1, 1, 0], [0, 0, 0]), (3,), 1),
     "J2+J1": (([0, 0, 0], [1, 0], [0, 0]), (2, 1), 1),
     "J1+J1+J1": (([0, 0, 0], [0, 0], [0, 0]), (1, 1, 1), 1),
-    "J2+J2": (([0, 0, 0, 0], [1, 0, 1], [0, 0, 0]), (2, 2), 2),
-    "J3+J1": (([0, 0, 0, 0], [1, 1, 0], [0, 0, 0]), (3, 1), 3),
+    "J2+J2": (([0, 0, 0, 0], [1, 0, 1], [0, 0, 0]), (2, 2), 1),
+    "J3+J1": (([0, 0, 0, 0], [1, 1, 0], [0, 0, 0]), (3, 1), 1),
 }
 
 
@@ -199,9 +199,10 @@ def test_reduced_tridiagonal_jordan_sizes_match_dense(diagonals):
 
 @pytest.mark.parametrize("label", sorted(JORDAN_CASES))
 def test_tridiagonal_jordan_sizes_take_a_rank_only_where_the_partition_is_open(monkeypatch, label):
-    """No rank when an off-diagonal has no zero, one when the number of
-    blocks g forces the partition, and the rank sequence only for g = 2 at
-    multiplicity 4, the first case with two partitions into g parts."""
+    """No rank when an off-diagonal has no zero, and otherwise one sparse
+    rank: it gives the number of blocks g, which forces the partition except
+    for g = 2 at multiplicity 4, the first case with two partitions into g
+    parts, where the dense rank sequence decides."""
     (diag, upper, lower), sizes, ranks = JORDAN_CASES[label]
     calls = []
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -256,10 +257,10 @@ def test_banded_oracle_takes_all_three_jordan_paths(monkeypatch):
     assert ws.eigenvalues == _dense_spectrum(_band_rows(band), candidates)
     assert len(calls) == 1
     # no Casimir value repeats more than twice, so only a matrix given
-    # directly reaches the rank sequence: J2 + J2 at 0
+    # directly reaches the dense rank sequence: J2 + J2 at 0, after one rank
     rows = [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
     assert _weight_spectrum(0, rows, (Fraction(0),)).eigenvalues == ((Fraction(0), 4, (2, 2)),)
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 @st.composite
@@ -349,14 +350,21 @@ def test_an_empty_break_set_fails_the_dense_reference(monkeypatch):
 
 @pytest.mark.parametrize(
     "lam, eps, m, window",
-    [(3, 0, 8, None), (-2, 1, 6, (-30, 30)), (0, 1, 1, None), (Fraction(7, 5), 0, 16, None), (3, 0, 8, (31, 61))],
+    [
+        (3, 0, 8, None),
+        (-2, 1, 6, (-30, 30)),
+        (0, 1, 1, None),
+        (Fraction(7, 5), 0, 16, None),
+        (3, 0, 8, (31, 61)),
+        (0, 1, 12, None),
+    ],
 )
 def test_one_characteristic_polynomial_per_report_and_no_jordan_call_at_multiplicity_one(
     monkeypatch, lam, eps, m, window
 ):
-    from sl2hc import oracle
+    from sl2hc import linalg, oracle
 
-    polys, jordans = [], []
+    polys, jordans, dense = [], [], []
 
     def counting_char_poly(*args):
         polys.append(args)
@@ -366,16 +374,36 @@ def test_one_characteristic_polynomial_per_report_and_no_jordan_call_at_multipli
         jordans.append(mult)
         return tridiagonal_jordan_block_sizes(diag, upper, lower, c, mult)
 
+    def counting_dense(a, c, mult):
+        dense.append(mult)
+        return jordan_block_sizes(a, c, mult)
+
     monkeypatch.setattr(oracle, "tridiagonal_char_poly", counting_char_poly)
     monkeypatch.setattr(oracle, "tridiagonal_jordan_block_sizes", counting_jordan)
+    monkeypatch.setattr(linalg, "jordan_block_sizes", counting_dense)
     report = casimir_report(lam, eps, m, window)
     assert len(polys) == 1
-    assert all(mult >= 2 for mult in jordans)
+    # no value repeats more than twice, so no report reaches the dense rank sequence
+    assert all(mult == 2 for mult in jordans) and dense == []
     # Jordan sizes once per segment: at the first weight and after each break
     breaks = _breaks(Fraction(lam), eps, m)
     starts = 1 + sum(1 for ws in report.entries[1:] if ws.k - 2 in breaks)
     repeated = sum(1 for _, mult, _ in report.entries[0].eigenvalues if mult >= 2)
     assert len(jordans) == starts * repeated
+
+
+@given(
+    st.integers(min_value=-40, max_value=40),
+    st.sampled_from((1, 2, 3, 5, 7)),
+    st.integers(min_value=0, max_value=40),
+)
+@settings(max_examples=200, deadline=None)
+def test_no_casimir_value_occurs_more_than_twice(p, q, m):
+    """(lam+m-2j)^2 = (lam+m-2j')^2 only for j = j' or j + j' = lam + m, so
+    no eigenvalue of the oracle has multiplicity above 2."""
+    lam = Fraction(p, q)
+    counts = Counter((lam + m - 2 * j) ** 2 for j in range(m + 1))
+    assert max(counts.values()) <= 2
 
 
 def _ladder_map(space, gen, k):
