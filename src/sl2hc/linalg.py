@@ -175,18 +175,6 @@ def jordan_block_sizes(a: Matrix, c, mult: int) -> tuple:
 # --- tridiagonal matrices ---------------------------------------------------------
 
 
-def tridiagonal_of(a: Matrix) -> tuple:
-    """The diagonals (diag, upper, lower) of a dense tridiagonal matrix."""
-    n = len(a)
-    if any(a[i][j] for i in range(n) for j in range(n) if abs(i - j) > 1):
-        raise ValueError("matrix is not tridiagonal")
-    return (
-        [a[i][i] for i in range(n)],
-        [a[i][i + 1] for i in range(n - 1)],
-        [a[i + 1][i] for i in range(n - 1)],
-    )
-
-
 def tridiagonal_char_poly(diag: list, upper: list, lower: list) -> list:
     """Monic det(tI - T) of an integer tridiagonal matrix, as ``char_poly`` returns it.
 

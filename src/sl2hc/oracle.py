@@ -15,7 +15,7 @@ decomposition formulas.
 
 On the basis (a, b) of a weight space, ordered by b ascending, that matrix
 is tridiagonal.  ``casimir_report`` builds its three diagonals directly as
-integers under one scale (``casimir_band``), scales the candidate
+integers under one scale (``_diagonals``), scales the candidate
 eigenvalues to integers once, and uses the continuant recurrence and the
 Jordan routines of ``linalg``: no ``Fraction`` is touched per K-weight.  Two
 sl(2) identities, which use only the ladder coefficients, spare most of the
@@ -34,9 +34,9 @@ weights:
 
 The generic construction applying Omega to free vectors of one Leibniz
 space (``casimir_matrix``; a single module is taken as its product with
-V(0)), spectra taken weight by weight (``_weight_spectrum``), and the dense
-Faddeev-LeVerrier and Bareiss routines are the reference the tests compare
-it against.
+V(0)), reports over one-weight windows, which take each weight alone, and
+the dense Faddeev-LeVerrier and Bareiss routines are the reference the
+tests compare it against.
 """
 
 from __future__ import annotations
@@ -56,13 +56,7 @@ from .core import (
     format_scalar,
     ladder,
 )
-from .linalg import (
-    clear_denominators,
-    root_multiplicity,
-    tridiagonal_char_poly,
-    tridiagonal_jordan_block_sizes,
-    tridiagonal_of,
-)
+from .linalg import root_multiplicity, tridiagonal_char_poly, tridiagonal_jordan_block_sizes
 from .tensor import LengthTwo, ps_tensor
 
 
@@ -149,19 +143,12 @@ def casimir_matrix(a: Ladder, b: Ladder | None, k: int) -> list:
     return mat
 
 
-class CasimirBand(Record):
-    """A tridiagonal rational matrix as ``scale`` times integer diagonals:
-    ``diag``, ``upper`` (entries (i, i+1)) and ``lower`` (entries (i+1, i))."""
-
-    __slots__ = ("scale", "diag", "upper", "lower")
-
-
-def casimir_band(lam: Scalar, eps: int, m: int, k: int) -> CasimirBand:
-    """Omega on the K-weight-k subspace of I(lam, eps) (x) V(m) as integer diagonals.
+def _diagonals(p: int, q: int, m: int, k: int) -> tuple:
+    """Omega on the K-weight-k subspace of I(lam, eps) (x) V(m), lam = p/q,
+    as integer diagonals (diag, upper, lower) scaled by q^2.
 
     The basis is (a, b) = (k - b, b) for b = -m, -m+2, ..., m, as in
-    ``casimir_matrix``.  With lam = p/q and scale q^2, the entries are q^2
-    times
+    ``casimir_matrix``, whatever eps.  The entries are q^2 times
 
     - lam^2 + (m+1)^2 - 1 + 2ab on the diagonal,
     - -(lam+a+1)(m+b) from column (a, b) to row (a+2, b-2),
@@ -169,15 +156,6 @@ def casimir_band(lam: Scalar, eps: int, m: int, k: int) -> CasimirBand:
 
     the entries of Omega(x)1 + 1(x)Omega - 1 + 2 H'(x)H' + 4 E'(x)F' + 4 F'(x)E'.
     """
-    lam = as_scalar(lam)
-    check_parity(eps)
-    if (k - eps - m) % 2 != 0:
-        raise ValueError(f"no vectors at this K-weight: k={k}")
-    return CasimirBand(lam.denominator ** 2, *_diagonals(lam.numerator, lam.denominator, m, k))
-
-
-def _diagonals(p: int, q: int, m: int, k: int) -> tuple:
-    """``casimir_band``'s (diag, upper, lower) for lam = p/q."""
     bs = range(-m, m + 1, 2)
     base = p * p + q * q * ((m + 1) ** 2 - 1)
     return (
@@ -265,7 +243,18 @@ def casimir_report(lam: Scalar, eps: int, m: int, window: tuple | None = None) -
         raise ValueError(f"window [{lo},{hi}] holds no K-weight k = eps + m (mod 2)")
     p, q = lam.numerator, lam.denominator
     band = _diagonals(p, q, m, start)
-    roots = _roots(start, tridiagonal_char_poly(*band), _scaled(eigenvalue_candidates(lam, m), q * q))
+    roots, remaining = [], tridiagonal_char_poly(*band)
+    for c in eigenvalue_candidates(lam, m):
+        cs = c * (q * q)
+        assert cs.denominator == 1
+        mult, remaining = root_multiplicity(remaining, cs.numerator)
+        if mult:
+            roots.append((c, cs.numerator, mult))
+    if len(remaining) != 1:
+        raise UnexpectedEigenvalueError(
+            f"unexpected eigenvalue at K-weight {start}: char poly factor {remaining} "
+            f"has no roots among the candidates"
+        )
     breaks = _breaks(lam, eps, m)
     eigen = _spectrum(*band, roots)
     entries = [WeightSpectrum(start, m + 1, eigen)]
@@ -298,53 +287,11 @@ def eigenvalue_candidates(lam: Fraction, m: int) -> tuple:
     return tuple(Fraction(s, q * q) for s in sorted({(p + q * (m - 2 * j)) ** 2 for j in range(m + 1)}))
 
 
-def _scaled(candidates, scale: int) -> list:
-    """``(c, c * scale)`` pairs; each scaled candidate must be an integer."""
-    pairs = []
-    for c in candidates:
-        cs = c * scale
-        assert cs.denominator == 1
-        pairs.append((c, cs.numerator))
-    return pairs
-
-
-def _weight_spectrum(k: int, band, candidates) -> WeightSpectrum:
-    """Eigenvalues, multiplicities and Jordan sizes of one weight space's
-    Casimir, taken at that weight alone: the reference for ``casimir_report``.
-
-    ``band`` is a ``CasimirBand``, or the dense rows of a tridiagonal
-    rational matrix.  Every eigenvalue must be among ``candidates``, whose
-    scaled values must be integers.
-    """
-    if not isinstance(band, CasimirBand):
-        mint, scale = clear_denominators(band, extra=candidates)
-        band = CasimirBand(scale, *tridiagonal_of(mint))
-    diagonals = band.diag, band.upper, band.lower
-    roots = _roots(k, tridiagonal_char_poly(*diagonals), _scaled(candidates, band.scale))
-    return WeightSpectrum(k, len(band.diag), _spectrum(*diagonals, roots))
-
-
-def _roots(k: int, poly: list, scaled: list) -> list:
-    """The ``(value, scaled value, mult)`` roots of the characteristic
-    polynomial at weight k among the ``(value, scaled value)`` candidates;
-    a factor left over is an ``UnexpectedEigenvalueError`` naming k."""
-    roots, remaining = [], poly
-    for c, cs in scaled:
-        mult, remaining = root_multiplicity(remaining, cs)
-        if mult:
-            roots.append((c, cs, mult))
-    if len(remaining) != 1:
-        raise UnexpectedEigenvalueError(
-            f"unexpected eigenvalue at K-weight {k}: char poly factor {remaining} "
-            f"has no roots among the candidates"
-        )
-    return roots
-
-
 def _spectrum(diag: list, upper: list, lower: list, roots: list) -> tuple:
     """The ``(value, mult, Jordan sizes)`` of one weight space's integer
-    diagonals with the ``_roots`` of any weight (the first identity of the
-    module docstring); Jordan sizes are taken only at multiplicity 2 or more."""
+    diagonals with the ``(value, scaled value, mult)`` roots of any weight's
+    characteristic polynomial (the first identity of the module docstring);
+    Jordan sizes are taken only at multiplicity 2 or more."""
     return tuple(
         (c, mult, (1,) if mult == 1 else tridiagonal_jordan_block_sizes(diag, upper, lower, cs, mult))
         for c, cs, mult in roots

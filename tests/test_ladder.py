@@ -2,8 +2,9 @@
 
 ``ladder`` is pinned against hand-written windows here; the frozen K-type
 values in ``test_core.py`` stay the independent check of what it implies.
-The dense reference (``casimir_matrix`` and ``_weight_spectrum``) is run on
-the bounded ladder shapes D+(l), D-(l) and V(m1), tensored with V(m), and
+The dense reference (``casimir_matrix``, then ``char_poly`` and
+``root_multiplicity`` on the matrix cleared of denominators) is run on the
+bounded ladder shapes D+(l), D-(l) and V(m1), tensored with V(m), and
 compared with ``ds_tensor`` and ``clebsch_gordan``: each weight's Casimir
 multiplicities must be those of the predicted classes' K-types.
 """
@@ -26,10 +27,10 @@ from sl2hc.core import (
     ladder,
     principal_is_irreducible,
 )
+from sl2hc.linalg import char_poly, clear_denominators, root_multiplicity
 from sl2hc.oracle import (
     FinDimRealization,
     PrincipalSeriesRealization,
-    _weight_spectrum,
     casimir_matrix,
     casimir_on_symmetric_power,
     casimir_report,
@@ -134,8 +135,13 @@ def _compare(left: Ladder, m: int, module, bound: int) -> int:
         if not any(left.has_weight(k - b) for b in range(-m, m + 1, 2)):
             assert predicted == {}, k
             continue
-        ws = _weight_spectrum(k, casimir_matrix(left, right, k), candidates)
-        assert {value: mult for value, mult, _ in ws.eigenvalues} == predicted, (left, m, k)
+        mint, scale = clear_denominators(casimir_matrix(left, right, k), extra=candidates)
+        remaining, observed = char_poly(mint), {}
+        for c in candidates:
+            mult, remaining = root_multiplicity(remaining, int(c * scale))
+            if mult:
+                observed[c] = mult
+        assert len(remaining) == 1 and observed == predicted, (left, m, k)
         seen += 1
     return seen
 

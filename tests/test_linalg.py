@@ -17,7 +17,6 @@ from sl2hc.linalg import (
     sparse_rank,
     tridiagonal_char_poly,
     tridiagonal_jordan_block_sizes,
-    tridiagonal_of,
 )
 
 
@@ -136,18 +135,12 @@ def _dense(diag, upper, lower):
 def test_tridiagonal_routines_match_dense(diagonals):
     diag, upper, lower = diagonals
     dense = _dense(diag, upper, lower)
-    assert tridiagonal_of(dense) == (diag, upper, lower)
     poly = tridiagonal_char_poly(diag, upper, lower)
     assert poly == char_poly(dense)
     for c in set(diag):
         mult, _ = root_multiplicity(poly, c)
         if mult:
             assert tridiagonal_jordan_block_sizes(diag, upper, lower, c, mult) == jordan_block_sizes(dense, c, mult)
-
-
-def test_tridiagonal_of_rejects_a_full_matrix():
-    with pytest.raises(ValueError):
-        tridiagonal_of([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
 
 
 @st.composite

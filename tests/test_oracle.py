@@ -22,7 +22,7 @@ from sl2hc.oracle import (
     UnexpectedEigenvalueError,
     VerificationVerdict,
     VerifyEntry,
-    casimir_band,
+    WeightSpectrum,
     casimir_matrix,
     casimir_on_symmetric_power,
     casimir_report,
@@ -34,7 +34,6 @@ from sl2hc.oracle import (
     verify_tensor,
     _breaks,
     _diagonals,
-    _weight_spectrum,
 )
 from sl2hc.tensor import Irr, LengthTwo, block_parameter, decomposition_semisimplification, ps_tensor
 
@@ -103,11 +102,6 @@ def test_casimir_report_sees_nontrivial_jordan_block():
     report = casimir_report(0, 0, 1, (-5, 5))
     for ws in report.entries:
         assert ws.eigenvalues == ((Fraction(1), 2, (2,)),)
-
-
-def test_weight_spectrum_rejects_uncovered_eigenvalue():
-    with pytest.raises(UnexpectedEigenvalueError):
-        _weight_spectrum(0, [[Fraction(2)]], (Fraction(1),))
 
 
 def test_reducibility_points():
@@ -180,14 +174,14 @@ def test_verify_tensor_property(lam, eps, m):
     assert verify_tensor(lam, eps, m).passed
 
 
-def _band_rows(band):
-    n = len(band.diag)
+def _band_rows(diag, upper, lower):
+    n = len(diag)
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
-        rows[i][i] = band.diag[i]
+        rows[i][i] = diag[i]
         if i + 1 < n:
-            rows[i][i + 1] = band.upper[i]
-            rows[i + 1][i] = band.lower[i]
+            rows[i][i + 1] = upper[i]
+            rows[i + 1][i] = lower[i]
     return rows
 
 
@@ -224,11 +218,12 @@ def _weight_cases(draw):
 @settings(max_examples=150, deadline=None)
 def test_banded_oracle_matches_dense_reference(case):
     lam, eps, m, k = case
-    band = casimir_band(lam, eps, m, k)
+    band = _diagonals(lam.numerator, lam.denominator, m, k)
     mat = casimir_matrix(PrincipalSeriesRealization(lam, eps), FinDimRealization(m), k)
-    assert _band_rows(band) == [[x * band.scale for x in row] for row in mat]
+    assert _band_rows(*band) == [[x * lam.denominator ** 2 for x in row] for row in mat]
     candidates = sorted({(lam + m - 2 * j) ** 2 for j in range(m + 1)})
-    ws = _weight_spectrum(k, band, candidates)
+    ws = casimir_report(lam, eps, m, (k, k)).entries[0]
+    assert (ws.k, ws.dim) == (k, len(mat))
     assert ws.eigenvalues == _dense_spectrum(mat, candidates)
 
 
@@ -244,22 +239,21 @@ def test_banded_oracle_takes_all_three_jordan_paths(monkeypatch):
     monkeypatch.setattr(linalg, "sparse_rank", counting_sparse_rank)
     # I(1, 0) is reducible: one ladder zero falls inside the k = -2 space of
     # V(2), which leaves `lower` without a zero: one block and no rank
-    band = casimir_band(1, 0, 2, -2)
-    assert not all(band.upper) and all(band.lower)
+    diag, upper, lower = _diagonals(1, 1, 2, -2)
+    assert not all(upper) and all(lower)
     candidates = eigenvalue_candidates(Fraction(1), 2)
-    ws = _weight_spectrum(-2, band, candidates)
-    assert ws.eigenvalues == _dense_spectrum(_band_rows(band), candidates)
+    ws = casimir_report(1, 0, 2, (-2, -2)).entries[0]
+    assert ws.eigenvalues == _dense_spectrum(_band_rows(diag, upper, lower), candidates)
     assert ws.eigenvalues[0] == (Fraction(1), 2, (2,)) and calls == []
     # both ladder zeros fall inside the k = 0 space: one rank decides
-    band = casimir_band(1, 0, 2, 0)
-    assert not all(band.upper) and not all(band.lower)
-    ws = _weight_spectrum(0, band, candidates)
-    assert ws.eigenvalues == _dense_spectrum(_band_rows(band), candidates)
+    diag, upper, lower = _diagonals(1, 1, 2, 0)
+    assert not all(upper) and not all(lower)
+    ws = casimir_report(1, 0, 2, (0, 0)).entries[0]
+    assert ws.eigenvalues == _dense_spectrum(_band_rows(diag, upper, lower), candidates)
     assert len(calls) == 1
     # no Casimir value repeats more than twice, so only a matrix given
     # directly reaches the dense rank sequence: J2 + J2 at 0, after one rank
-    rows = [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
-    assert _weight_spectrum(0, rows, (Fraction(0),)).eigenvalues == ((Fraction(0), 4, (2, 2)),)
+    assert tridiagonal_jordan_block_sizes([0, 0, 0, 0], [1, 0, 1], [0, 0, 0], 0, 4) == (2, 2)
     assert len(calls) == 2
 
 
@@ -281,9 +275,14 @@ def _report_cases(draw):
 @settings(max_examples=60, deadline=None)
 def test_casimir_report_equals_each_weight_factored_alone(case):
     lam, eps, m, (lo, hi) = case
-    candidates = eigenvalue_candidates(lam, m)
-    expected = tuple(_weight_spectrum(k, casimir_band(lam, eps, m, k), candidates) for k in range(lo, hi + 1, 2))
+    expected = tuple(casimir_report(lam, eps, m, (k, k)).entries[0] for k in range(lo, hi + 1, 2))
     assert casimir_report(*case).entries == expected
+
+
+def _dense_weight(left, right, k, candidates):
+    """Weight k of left (x) right taken alone on the dense ``casimir_matrix``."""
+    mat = casimir_matrix(left, right, k)
+    return WeightSpectrum(k, len(mat), _dense_spectrum(mat, candidates))
 
 
 def _dense_entries(lam, eps, m, window):
@@ -291,11 +290,7 @@ def _dense_entries(lam, eps, m, window):
     left, right = PrincipalSeriesRealization(lam, eps), FinDimRealization(m)
     candidates = sorted({(Fraction(lam) + m - 2 * j) ** 2 for j in range(m + 1)})
     lo, hi = window
-    return tuple(
-        _weight_spectrum(k, casimir_matrix(left, right, k), candidates)
-        for k in range(lo, hi + 1)
-        if (k - eps - m) % 2 == 0
-    )
+    return tuple(_dense_weight(left, right, k, candidates) for k in range(lo, hi + 1) if (k - eps - m) % 2 == 0)
 
 
 @st.composite
@@ -466,24 +461,6 @@ def test_casimir_report_names_the_first_weight_without_a_candidate(
     )
 
 
-def test_casimir_band_requires_a_vector():
-    with pytest.raises(ValueError):
-        casimir_band(Fraction(1, 2), 0, 1, 2)
-
-
-def test_casimir_band_is_a_positional_record():
-    from sl2hc.core import Record
-    from sl2hc.oracle import CasimirBand
-
-    band = casimir_band(Fraction(1, 2), 0, 2, 0)
-    assert isinstance(band, Record) and not isinstance(band, tuple)
-    assert CasimirBand._fields == ("scale", "diag", "upper", "lower")
-    assert band == CasimirBand(band.scale, band.diag, band.upper, band.lower)
-    assert band.scale == 4 and len(band.diag) == 3 and len(band.upper) == len(band.lower) == 2
-    with pytest.raises(AttributeError):
-        band.scale = 1
-
-
 def test_casimir_report_refuses_a_window_without_weights():
     with pytest.raises(ValueError):
         casimir_report(Fraction(1, 2), 0, 1, (2, 2))
@@ -524,7 +501,7 @@ def _reference_verdict(lam, eps, m, window):
     for k in range(lo, hi + 1):
         if (k - eps - m) % 2:
             continue
-        ws = _weight_spectrum(k, casimir_matrix(left, right, k), candidates)
+        ws = _dense_weight(left, right, k, candidates)
         predicted = {}
         for value, ktf, mult in parts:
             count = mult * ktf.value(k)
