@@ -167,6 +167,10 @@ JORDAN_CASES = {
     "J1+J1+J1": (([0, 0, 0], [0, 0], [0, 0]), (1, 1, 1), 1),
     "J2+J2": (([0, 0, 0, 0], [1, 0, 1], [0, 0, 0]), (2, 2), 1),
     "J3+J1": (([0, 0, 0, 0], [1, 1, 0], [0, 0, 0]), (3, 1), 1),
+    "J3+J2": (([0] * 5, [1, 1, 0, 1], [0] * 4), (3, 2), 1),
+    "J4+J1": (([0] * 5, [1, 1, 1, 0], [0] * 4), (4, 1), 1),
+    "J2+J2+J1": (([0] * 5, [1, 0, 1, 0], [0] * 4), (2, 2, 1), 1),
+    "J3+J1+J1": (([0] * 5, [1, 1, 0, 0], [0] * 4), (3, 1, 1), 1),
 }
 
 
@@ -195,7 +199,8 @@ def test_tridiagonal_jordan_sizes_take_a_rank_only_where_the_partition_is_open(m
     """No rank when an off-diagonal has no zero, and otherwise one sparse
     rank: it gives the number of blocks g, which forces the partition except
     for g = 2 at multiplicity 4, the first case with two partitions into g
-    parts, where the dense rank sequence decides."""
+    parts, where the dense rank sequence decides.  At multiplicity 5 both
+    g = 2 and g = 3 leave two partitions open, each pair told apart here."""
     (diag, upper, lower), sizes, ranks = JORDAN_CASES[label]
     calls = []
 

@@ -441,6 +441,7 @@ def test_breaks_are_where_both_ladder_maps_are_singular_and_inside_the_default_w
         (Fraction(1, 2), 0, 1, (-5, 5), 1, -5, [1, -9]),
         (0, 0, 1, (-5, 5), 0, -5, [1, -2, 1]),
         (2, 1, 3, (-11, 11), 0, -10, [1, -2, 1]),
+        (Fraction(1, 2), 0, 1, (-1, -1), 1, -1, [1, -9]),
     ],
 )
 def test_casimir_report_names_the_first_weight_without_a_candidate(
@@ -459,6 +460,16 @@ def test_casimir_report_names_the_first_weight_without_a_candidate(
     assert str(error.value) == (
         f"unexpected eigenvalue at K-weight {k}: char poly factor {factor} has no roots among the candidates"
     )
+
+
+def test_diagonals_frozen_at_one_half():
+    # lam = 1/2, V(2), k = 0: scale q^2 = 4, basis b = -2, 0, 2
+    band = _diagonals(1, 2, 2, 0)
+    assert band == ([1, 33, 1], [-12, 8], [8, -12])
+    mat = casimir_matrix(PrincipalSeriesRealization(Fraction(1, 2), 0), FinDimRealization(2), 0)
+    assert _band_rows(*band) == [[4 * x for x in row] for row in mat]
+    # (x - 1)(x - 9)(x - 25): the candidates 1/4, 9/4, 25/4 at scale 4
+    assert tridiagonal_char_poly(*band) == [1, -35, 259, -225]
 
 
 def test_casimir_report_refuses_a_window_without_weights():
