@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import sl2hc.cli as cli
 from sl2hc.cli import main
+from sl2hc.core import principal_is_irreducible
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 KEYS = ("1/5", "1/7", "2/7", "1/9", "2/9")
@@ -224,3 +225,52 @@ def test_stdout_closed_before_the_write_exits_1_silently(fmt, unbuffered):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+# --- the class commands, pinned across the three class kinds --------------------------
+
+V_AND_D = [f"V({n})" for n in range(9)] + [f"D{s}({n})" for s in "+-" for n in range(9)]
+PARAMETERS = [f"{p}/{q}" for q in (1, 2, 3, 5) for p in range(-12, 13)]
+PRINCIPAL = [
+    f"I({lam},{eps})"
+    for lam in PARAMETERS
+    for eps in (0, 1)
+    if principal_is_irreducible(Fraction(lam), eps)
+]
+CLASS_ARGVS = {
+    "cg": [["cg", str(m1), str(m2)] for m1 in range(13) for m2 in range(13)],
+    "tensor": [["tensor", c, str(m)] for c in V_AND_D + PRINCIPAL for m in range(4)],
+    "ktypes": [["ktypes", c, "--window", "-9", "9"] for c in V_AND_D + PRINCIPAL],
+    "classify": [["classify", c] for c in V_AND_D + PRINCIPAL],
+    "series": [["series", "--", lam, eps] for lam in PARAMETERS for eps in "01"],
+    "verify": [["verify", "--", str(p), eps, str(m)] for p in range(-4, 5) for eps in "01" for m in range(5, 13)],
+}
+
+# sha256 over "<argv>: <exit code>\n<stdout>" for `sl2hc --format FMT <argv>` over
+# CLASS_ARGVS[command]; recorded before the three class kinds shared one dispatch
+CLASS_SHA256 = {
+    ("cg", "text"): "9ad1096208a2185d0cac595ba4f8de6cc9c359f05f02181c0f16545ce6f83e23",
+    ("cg", "json"): "4b11f2e6533abbea2212bdf8a07a41842ea3e8922a6441129a334348c49ac412",
+    ("tensor", "text"): "2560272c1f081b02356fbdebb69eac1e05d8eff42f93a879af195175a73e3e84",
+    ("tensor", "json"): "06cc77211bbf3899d04653fc1b2d1443e6bd9c7d7f6c87b90fb8e62420329b31",
+    ("ktypes", "text"): "9f0e8325a651649fb1a8d0e31aef8c8670c006b8bb140967c2e523b0f3b95ba3",
+    ("ktypes", "json"): "b960e31aa92a571048bc1c4937102bc80c6dc651f36aef4f99d8629baabecb7e",
+    ("classify", "text"): "23daf09ca5628aa69cf48776a7b87c55997889e73a33acd7592d32b06d0dc760",
+    ("classify", "json"): "f76bad661aa50e7be14ffaf4f29fbabd766e19ccaad8d2f41280b5ef930d66aa",
+    ("series", "text"): "a9a18180002f32597bd2d57307800c3f4484b8e4071e215c69be316596bf772e",
+    ("series", "json"): "600b16f078e8cbcd1852e9f8a9778290f17af19db479aaa1297028c4a4f1f19e",
+    ("verify", "json"): "b0c81485b144450d849bd2c8a8114e292860548b8355a869b70f65b5664f7316",
+}
+
+
+def _digest(capsys, fmt: str, argvs: list) -> str:
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code = main(["--format", fmt, *argv])
+        digest.update(f"{' '.join(argv)}: {code}\n{capsys.readouterr().out}".encode("ascii"))
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("command, fmt", sorted(CLASS_SHA256))
+def test_class_command_output_bytes_are_pinned(capsys, command, fmt):
+    assert _digest(capsys, fmt, CLASS_ARGVS[command]) == CLASS_SHA256[command, fmt]
