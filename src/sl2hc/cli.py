@@ -22,10 +22,11 @@ import sys
 from fractions import Fraction
 
 from .core import (
+    ASCone,
     IrreducibleClass,
-    PrincipalIrr,
     UnexpectedEigenvalueError,
     VirtualModule,
+    as_cone,
     as_scalar,
     display_sort_key,
     format_class,
@@ -155,7 +156,7 @@ def _series_lines(p: dict):
 def _cmd_tensor(args):
     cls = args.cls
     payload = {"command": "tensor", "class": format_class(cls), "m": args.m}
-    if isinstance(cls, PrincipalIrr):
+    if as_cone(cls) is ASCone.FULL_LINE:  # a principal series: its summands are known
         summands = ps_tensor(cls.lam, cls.eps, args.m)
         payload.update(decomposition_to_dict(summands))
         return payload, _line(" (+) ".join, map(format_summand, summands)), True

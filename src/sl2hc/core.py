@@ -212,8 +212,7 @@ class Ladder(Record):
     leaves that side open; any other bound is a weight where the coefficient
     leaving the window vanishes (``f_coeff(lo) == 0``, i.e. lam = lo - 1;
     ``e_coeff(hi) == 0``, i.e. lam = -hi - 1), so the window is a submodule.
-    ``ladder`` gives the windows: none for I(lam, eps), |k| <= m at
-    lam = -(m+1) for V(m), lo = l+1 or hi = -l-1 at lam = l for D+(l), D-(l).
+    ``ladder`` gives the window of each class kind.
     """
 
     __slots__ = ("lam", "eps", "lo", "hi")
@@ -236,70 +235,95 @@ class Ladder(Record):
         return (self.lam - k + 1) / 2
 
 
-def ladder(x: IrreducibleClass) -> Ladder:
-    """The ladder window realizing an irreducible class: the one place where
-    V(m), D+-(l) and I(lam, eps) are told apart for their module facts."""
-    if isinstance(x, FinDim):
-        return Ladder(-(x.m + 1), x.m % 2, -x.m, x.m)
-    if isinstance(x, DiscreteSeries):
-        eps = (x.l + 1) % 2
-        return Ladder(x.l, eps, x.l + 1, None) if x.sign > 0 else Ladder(x.l, eps, None, -x.l - 1)
-    if isinstance(x, PrincipalIrr):
-        return Ladder(x.lam, x.eps, None, None)
+# --- the three class kinds -------------------------------------------------
+
+
+class _Kind(Record):
+    """The entry of one class kind, the one place where V(m), D+-(l) and
+    I(lam, eps) are told apart.  ``window`` gives the ladder window
+    (lam, eps, lo, hi), whose |lam| is the infinitesimal character.
+    ``sort_key`` orders storage, and ``family`` the kinds at one character for
+    display.  ``parse`` builds a class from the groups of ``pattern``, the
+    grammar of ``text``.  ``tensor`` gives the composition factors of the
+    product with V(m)."""
+
+    __slots__ = ("window", "sort_key", "family", "text", "pattern", "parse", "tensor")
+
+
+def _tensor_module():
+    """The ``tensor`` module, which imports this one, at first use."""
+    from . import tensor
+
+    return tensor
+
+
+_KINDS = {
+    FinDim: _Kind(
+        window=lambda x: (-(x.m + 1), x.m % 2, -x.m, x.m),
+        sort_key=lambda x: (0, Fraction(x.m), 0),
+        family=1,
+        text=lambda x: f"V({x.m})",
+        pattern=re.compile(r"V\((\d+)\)"),
+        parse=lambda m: FinDim(int(m)),
+        tensor=lambda x, m: _tensor_module().clebsch_gordan(x.m, m),
+    ),
+    DiscreteSeries: _Kind(
+        window=lambda x: (x.l, (x.l + 1) % 2) + ((x.l + 1, None) if x.sign > 0 else (None, -x.l - 1)),
+        sort_key=lambda x: (1, Fraction(x.l), 0 if x.sign > 0 else 1),
+        family=0,
+        text=lambda x: f"D{'+' if x.sign > 0 else '-'}({x.l})",
+        pattern=re.compile(r"D([+-])\((\d+)\)"),
+        parse=lambda sign, l: DiscreteSeries(1 if sign == "+" else -1, int(l)),
+        tensor=lambda x, m: _tensor_module().ds_tensor(x.sign, x.l, m),
+    ),
+    PrincipalIrr: _Kind(
+        window=lambda x: (x.lam, x.eps, None, None),
+        sort_key=lambda x: (2, x.lam, x.eps),
+        family=2,
+        text=lambda x: f"I({format_scalar(x.lam)},{x.eps})",
+        pattern=re.compile(r"I\((-?\d+(?:/\d+)?),\s*(\d+)\)"),
+        parse=lambda lam, eps: PrincipalIrr(as_scalar(lam), int(eps)),
+        tensor=lambda x, m: _tensor_module().decomposition_semisimplification(
+            _tensor_module().ps_tensor(x.lam, x.eps, m)
+        ),
+    ),
+}
+
+
+def _kind(x: IrreducibleClass) -> _Kind:
+    """The entry of the class's kind; anything else is refused here."""
+    if type(x) in _KINDS:
+        return _KINDS[type(x)]
     raise TypeError(f"not an irreducible class: {x!r}")
+
+
+def ladder(x: IrreducibleClass) -> Ladder:
+    """The ladder window realizing an irreducible class."""
+    return Ladder(*_kind(x).window(x))
 
 
 def class_sort_key(x: IrreducibleClass) -> tuple:
     """Total order used for canonical storage of class combinations."""
-    if isinstance(x, FinDim):
-        return (0, Fraction(x.m), 0)
-    if isinstance(x, DiscreteSeries):
-        return (1, Fraction(x.l), 0 if x.sign > 0 else 1)
-    if isinstance(x, PrincipalIrr):
-        return (2, x.lam, x.eps)
-    raise TypeError(f"not an irreducible class: {x!r}")
+    return _kind(x).sort_key(x)
 
 
 def display_sort_key(x: IrreducibleClass) -> tuple:
     """Display order: descending infinitesimal character, then D+, D-, V, I."""
-    if isinstance(x, DiscreteSeries):
-        fam = 0 if x.sign > 0 else 1
-    elif isinstance(x, FinDim):
-        fam = 2
-    else:
-        fam = 3
-    return (-inf_char(x).value, fam) + class_sort_key(x)
-
-
-# --- text grammar ----------------------------------------------------------
-
-_FINDIM_RE = re.compile(r"^V\((\d+)\)$")
-_DISCRETE_RE = re.compile(r"^D([+-])\((\d+)\)$")
-_PRINCIPAL_RE = re.compile(r"^I\((-?\d+(?:/\d+)?),\s*(\d+)\)$")
+    kind = _kind(x)
+    return (-abs(kind.window(x)[0]), kind.family) + kind.sort_key(x)
 
 
 def format_class(x: IrreducibleClass) -> str:
-    if isinstance(x, FinDim):
-        return f"V({x.m})"
-    if isinstance(x, DiscreteSeries):
-        return f"D{'+' if x.sign > 0 else '-'}({x.l})"
-    if isinstance(x, PrincipalIrr):
-        return f"I({format_scalar(x.lam)},{x.eps})"
-    raise TypeError(f"not an irreducible class: {x!r}")
+    return _kind(x).text(x)
 
 
 def parse_class(text: str) -> IrreducibleClass:
     """Parse the canonical grammar V(m) | D+(l) | D-(l) | I(lam,eps)."""
     s = text.strip()
-    m = _FINDIM_RE.match(s)
-    if m:
-        return FinDim(int(m.group(1)))
-    m = _DISCRETE_RE.match(s)
-    if m:
-        return DiscreteSeries(1 if m.group(1) == "+" else -1, int(m.group(2)))
-    m = _PRINCIPAL_RE.match(s)
-    if m:
-        return PrincipalIrr(as_scalar(m.group(1)), int(m.group(2)))
+    for kind in _KINDS.values():
+        match = kind.pattern.fullmatch(s)
+        if match:
+            return kind.parse(*match.groups())
     raise ValueError(f"cannot parse class {text!r}")
 
 
@@ -444,7 +468,7 @@ class InfChar(Record):
 
 
 def inf_char(x: IrreducibleClass) -> InfChar:
-    return InfChar(abs(ladder(x).lam))
+    return InfChar(abs(_kind(x).window(x)[0]))
 
 
 def casimir_value(x: IrreducibleClass) -> Fraction:
@@ -636,8 +660,8 @@ class ASCone(Enum):
 
 def as_cone(x: IrreducibleClass) -> ASCone:
     """``ascone_from_ktypes(ktype_function(x))`` read off the ladder's open sides."""
-    w = ladder(x)
-    return ASCone((w.hi is None, w.lo is None))
+    _, _, lo, hi = _kind(x).window(x)
+    return ASCone((hi is None, lo is None))
 
 
 def ascone_from_ktypes(f: KTypeFunction) -> ASCone:

@@ -28,7 +28,6 @@ from fractions import Fraction
 from .core import (
     ASCone,
     IrreducibleClass,
-    PrincipalIrr,
     Record,
     Scalar,
     VirtualModule,
@@ -299,7 +298,7 @@ def classify_irreducible(x: IrreducibleClass) -> tuple:
     The signed shift, unlike the bare distance |j|, separates the two parity
     classes over a collapsed base, keeping the map injective.
     """
-    if not isinstance(x, PrincipalIrr):
+    if as_cone(x) is not ASCone.FULL_LINE:
         return (class_closure(x), inf_char(x).value)
     point = ps_class_point(x.lam, x.eps)
     lam0 = point.lam0

@@ -31,6 +31,11 @@ weights:
   it makes Omega on W_k and on W_{k+2} similar, so the Jordan sizes change
   only at a break, where both are singular, and are taken once per
   break-free segment.
+- Even across a break only one value can change.  Let G_k(c) be the
+  generalized c-eigenspace of Omega on W_k.  For c != (k+1)^2, F'E' is
+  invertible on G_k(c) and E'F' on G_{k+2}(c), so E'_k and F'_{k+2} are
+  injective there, and E'_k maps G_k(c) isomorphically onto G_{k+2}(c).
+  After a break at k only the Jordan sizes at (k+1)^2 are taken again.
 
 The generic construction applying Omega to free vectors of one Leibniz
 space (``casimir_matrix``; a single module is taken as its product with
@@ -226,8 +231,9 @@ def casimir_report(lam: Scalar, eps: int, m: int, window: tuple | None = None) -
 
     By the identities of the module docstring, the characteristic polynomial
     is taken and factored once, at the window's first weight (which an
-    ``UnexpectedEigenvalueError`` names), and Jordan sizes at that weight and
-    just after each break.  Every other weight shares its segment's tuple.
+    ``UnexpectedEigenvalueError`` names), and Jordan sizes at that weight;
+    just after a break at k - 2 they are taken again for the value (k-1)^2
+    alone.  Every other weight shares its segment's tuple.
     """
     lam = as_scalar(lam)
     check_parity(eps)
@@ -260,7 +266,11 @@ def casimir_report(lam: Scalar, eps: int, m: int, window: tuple | None = None) -
     entries = [WeightSpectrum(start, m + 1, eigen)]
     for k in range(start + 2, hi + 1, 2):
         if k - 2 in breaks:
-            eigen = _spectrum(*_diagonals(p, q, m, k), roots)
+            changed = (k - 1) ** 2 * q * q  # scaled as the roots are
+            eigen = tuple(
+                _spectrum(*_diagonals(p, q, m, k), [root])[0] if root[1] == changed else kept
+                for root, kept in zip(roots, eigen)
+            )
         entries.append(WeightSpectrum(k, m + 1, eigen))
     return CasimirReport(lam, eps, m, (lo, hi), tuple(entries))
 

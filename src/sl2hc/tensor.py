@@ -20,6 +20,7 @@ from .core import (
     Record,
     Scalar,
     VirtualModule,
+    _kind,
     as_scalar,
     check_highest_weight,
     check_parity,
@@ -301,14 +302,8 @@ def ds_tensor(sign: int, l: int, m: int) -> VirtualModule:
 
 
 def tensor_with_finite(x: IrreducibleClass, m: int) -> VirtualModule:
-    """Composition factors (with multiplicity) of x (x) V(m)."""
-    if isinstance(x, FinDim):
-        return clebsch_gordan(x.m, m)
-    if isinstance(x, DiscreteSeries):
-        return ds_tensor(x.sign, x.l, m)
-    if isinstance(x, PrincipalIrr):
-        return decomposition_semisimplification(ps_tensor(x.lam, x.eps, m))
-    raise TypeError(f"not an irreducible class: {x!r}")
+    """Composition factors (with multiplicity) of x (x) V(m), by the rule of x's kind."""
+    return _kind(x).tensor(x, m)
 
 
 def grothendieck_tensor(x: VirtualModule, m: int) -> VirtualModule:

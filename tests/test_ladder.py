@@ -14,19 +14,28 @@ from fractions import Fraction
 import pytest
 
 import sl2hc
+import sl2hc.core
 import sl2hc.oracle
 from sl2hc.core import (
+    ASCone,
     DiscreteSeries,
     FinDim,
     Ladder,
     PrincipalIrr,
     VirtualModule,
+    as_cone,
     casimir_value,
     check_parity,
+    class_sort_key,
+    display_sort_key,
+    format_class,
+    format_virtual_module,
+    inf_char,
     ktype_function,
     ladder,
     principal_is_irreducible,
 )
+from sl2hc.lattice import class_closure, classify_irreducible
 from sl2hc.linalg import char_poly, clear_denominators, root_multiplicity
 from sl2hc.oracle import (
     FinDimRealization,
@@ -37,7 +46,7 @@ from sl2hc.oracle import (
     eigenvalue_candidates,
     reducibility_points,
 )
-from sl2hc.tensor import clebsch_gordan, ds_tensor, ps_tensor
+from sl2hc.tensor import clebsch_gordan, ds_tensor, ps_tensor, tensor_with_finite
 
 
 def test_named_realizations_are_ladders():
@@ -69,6 +78,56 @@ def test_ladder_refuses_what_is_not_a_class():
     for bad in (Ladder(0, 0, None, None), VirtualModule.of(FinDim(0)), "V(0)", None):
         with pytest.raises(TypeError, match="not an irreducible class"):
             ladder(bad)
+
+
+READERS = [
+    ladder,
+    class_sort_key,
+    display_sort_key,
+    format_class,
+    inf_char,
+    casimir_value,
+    as_cone,
+    ktype_function,
+    lambda x: tensor_with_finite(x, 1),
+    class_closure,
+    classify_irreducible,
+]
+
+
+@pytest.mark.parametrize("bad", [3, "V(1)", None])
+@pytest.mark.parametrize("read", READERS)
+def test_every_reader_of_a_kind_entry_refuses_what_is_not_a_class(read, bad):
+    with pytest.raises(TypeError) as refusal:
+        read(bad)
+    assert str(refusal.value) == f"not an irreducible class: {bad!r}"
+
+
+def test_display_order_cones_and_rendering_build_no_ladder(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Ladder was built")
+
+    monkeypatch.setattr(sl2hc.core, "Ladder", refuse)
+    with pytest.raises(AssertionError):
+        ladder(FinDim(0))
+    classes = [
+        PrincipalIrr(2, 0),
+        FinDim(1),
+        DiscreteSeries(-1, 2),
+        DiscreteSeries(1, 2),
+        PrincipalIrr(Fraction(5, 2), 1),
+    ]
+    assert sorted(classes, key=display_sort_key) == [
+        PrincipalIrr(Fraction(5, 2), 1),
+        DiscreteSeries(1, 2),
+        DiscreteSeries(-1, 2),
+        FinDim(1),
+        PrincipalIrr(2, 0),
+    ]
+    cones = [ASCone.FULL_LINE, ASCone.ZERO, ASCone.MINUS_HALF_LINE, ASCone.PLUS_HALF_LINE, ASCone.FULL_LINE]
+    assert [as_cone(c) for c in classes] == cones
+    text = format_virtual_module(clebsch_gordan(200, 200))
+    assert text.startswith("V(400) + V(398) + ") and text.endswith(" + V(2) + V(0)")
 
 
 @pytest.mark.parametrize(

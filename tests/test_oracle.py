@@ -320,6 +320,31 @@ def test_segmented_report_equals_the_dense_reference_at_every_weight(case):
     assert casimir_report(*case).entries == _dense_entries(*case)
 
 
+@st.composite
+def _integral_cases(draw):
+    """(lam, eps, m, window): integral lam, either parity, and a window of at
+    least two weights' span within or across the break zone |k| <= |lam|+m+1."""
+    m = draw(st.integers(min_value=0, max_value=10))
+    lam = Fraction(draw(st.integers(min_value=-9, max_value=9)))
+    eps = draw(st.integers(min_value=0, max_value=1))
+    reach = int(abs(lam)) + m + 1
+    lo = draw(st.integers(min_value=-reach - 4, max_value=reach))
+    return lam, eps, m, (lo, draw(st.integers(min_value=lo + 1, max_value=reach + 4)))
+
+
+@given(_integral_cases())
+@settings(max_examples=60, deadline=None)
+def test_across_a_weight_only_the_value_at_its_step_changes(case):
+    """E'_k maps G_k(c) onto G_{k+2}(c) for c != (k+1)^2, so from weight k
+    to k+2 the dense reference changes at (k+1)^2 alone; the report, which
+    takes only that value again after a break, equals it at every weight."""
+    dense = _dense_entries(*case)
+    for a, b in zip(dense, dense[1:]):
+        changed = {va[0] for va, vb in zip(a.eigenvalues, b.eigenvalues) if va != vb}
+        assert changed <= {(a.k + 1) ** 2}
+    assert casimir_report(*case).entries == dense
+
+
 @given(
     st.integers(min_value=-12, max_value=12),
     st.sampled_from((1, 2, 3, 5)),
@@ -380,11 +405,12 @@ def test_one_characteristic_polynomial_per_report_and_no_jordan_call_at_multipli
     assert len(polys) == 1
     # no value repeats more than twice, so no report reaches the dense rank sequence
     assert all(mult == 2 for mult in jordans) and dense == []
-    # Jordan sizes once per segment: at the first weight and after each break
+    # Jordan sizes at each repeated value of the first weight, then after each
+    # break at k - 2 only at (k-1)^2, when that value is repeated
     breaks = _breaks(Fraction(lam), eps, m)
-    starts = 1 + sum(1 for ws in report.entries[1:] if ws.k - 2 in breaks)
-    repeated = sum(1 for _, mult, _ in report.entries[0].eigenvalues if mult >= 2)
-    assert len(jordans) == starts * repeated
+    repeated = {value for value, mult, _ in report.entries[0].eigenvalues if mult >= 2}
+    retaken = sum(1 for ws in report.entries[1:] if ws.k - 2 in breaks and (ws.k - 1) ** 2 in repeated)
+    assert len(jordans) == len(repeated) + retaken
 
 
 @given(
