@@ -113,10 +113,10 @@ def _spectrum_text(pairs) -> str:
 def _verify_line(verdict) -> str:
     if verdict.passed:
         return f"PASS (k in [{verdict.window[0]},{verdict.window[1]}]: spectra match)"
-    e = verdict.first_mismatch()
-    observed = _spectrum_text((v, mult) for v, mult, _ in e.observed)
-    predicted = _spectrum_text(e.predicted)
-    return f"FAIL (k={e.k}: predicted {predicted}; observed {observed})"
+    segment = verdict.first_mismatch()
+    observed = _spectrum_text((v, mult) for v, mult, _ in segment.eigenvalues)
+    predicted = _spectrum_text(verdict.predicted)
+    return f"FAIL (k={segment.first}: predicted {predicted}; observed {observed})"
 
 
 # --- commands -------------------------------------------------------------------

@@ -365,9 +365,6 @@ class VirtualModule:
     def items(self) -> tuple:
         return self._entries
 
-    def support(self) -> tuple:
-        return tuple(c for c, _ in self._entries)
-
     def multiplicity(self, cls: IrreducibleClass) -> int:
         for c, n in self._entries:
             if c == cls:
@@ -418,9 +415,6 @@ class VirtualModule:
 
     def __bool__(self) -> bool:
         return bool(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries)
 
     def __repr__(self) -> str:
         return f"VirtualModule({format_virtual_module(self)!r})"

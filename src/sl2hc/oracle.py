@@ -47,6 +47,7 @@ tests compare it against.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 from .core import (
@@ -200,20 +201,21 @@ def reducibility_points(lam: Scalar, eps: int) -> list:
 # --- spectral reports ---------------------------------------------------------
 
 
-class WeightSpectrum(Record):
-    """Casimir structure on one K-weight subspace.
+class Segment(Record):
+    """The Casimir structure shared by the weights first, first+2, ..., last.
 
     ``eigenvalues`` holds (value, algebraic multiplicity, Jordan block sizes
     sorted descending), sorted by value.
     """
 
-    __slots__ = ("k", "dim", "eigenvalues")
+    __slots__ = ("first", "last", "eigenvalues")
 
 
 class CasimirReport(Record):
-    """The weight spectra of I(lam, eps) (x) V(m) over a K-weight window."""
+    """The weight spectra of I(lam, eps) (x) V(m) over a K-weight window, one
+    segment per break-free run of weights."""
 
-    __slots__ = ("lam", "eps", "m", "window", "entries")
+    __slots__ = ("lam", "eps", "m", "window", "segments")
 
 
 def default_window(lam: Scalar, eps: int, m: int) -> tuple:
@@ -231,9 +233,9 @@ def casimir_report(lam: Scalar, eps: int, m: int, window: tuple | None = None) -
 
     By the identities of the module docstring, the characteristic polynomial
     is taken and factored once, at the window's first weight (which an
-    ``UnexpectedEigenvalueError`` names), and Jordan sizes at that weight;
-    just after a break at k - 2 they are taken again for the value (k-1)^2
-    alone.  Every other weight shares its segment's tuple.
+    ``UnexpectedEigenvalueError`` names), and Jordan sizes at that weight.
+    Each break b inside the window, before its last weight, starts a segment
+    at b + 2, where Jordan sizes are taken again for the value (b+1)^2 alone.
     """
     lam = as_scalar(lam)
     check_parity(eps)
@@ -261,18 +263,17 @@ def casimir_report(lam: Scalar, eps: int, m: int, window: tuple | None = None) -
             f"unexpected eigenvalue at K-weight {start}: char poly factor {remaining} "
             f"has no roots among the candidates"
         )
-    breaks = _breaks(lam, eps, m)
-    eigen = _spectrum(*band, roots)
-    entries = [WeightSpectrum(start, m + 1, eigen)]
-    for k in range(start + 2, hi + 1, 2):
-        if k - 2 in breaks:
-            changed = (k - 1) ** 2 * q * q  # scaled as the roots are
-            eigen = tuple(
-                _spectrum(*_diagonals(p, q, m, k), [root])[0] if root[1] == changed else kept
-                for root, kept in zip(roots, eigen)
-            )
-        entries.append(WeightSpectrum(k, m + 1, eigen))
-    return CasimirReport(lam, eps, m, (lo, hi), tuple(entries))
+    last = hi - (hi - start) % 2
+    first, eigen, segments = start, _spectrum(*band, roots), []
+    for b in sorted(b for b in _breaks(lam, eps, m) if start <= b < last):
+        segments.append(Segment(first, b, eigen))
+        first, changed = b + 2, (b + 1) ** 2 * q * q  # scaled as the roots are
+        eigen = tuple(
+            _spectrum(*_diagonals(p, q, m, first), [root])[0] if root[1] == changed else kept
+            for root, kept in zip(roots, eigen)
+        )
+    segments.append(Segment(first, last, eigen))
+    return CasimirReport(lam, eps, m, (lo, hi), tuple(segments))
 
 
 def _breaks(lam: Fraction, eps: int, m: int) -> frozenset:
@@ -311,13 +312,6 @@ def _spectrum(diag: list, upper: list, lower: list, roots: list) -> tuple:
 # --- closed form vs oracle ----------------------------------------------------
 
 
-class VerifyEntry(Record):
-    """Observed ``((value, mult, jordan sizes), ...)`` against predicted
-    ``((value, mult), ...)`` at one K-weight."""
-
-    __slots__ = ("k", "dim", "observed", "predicted", "match")
-
-
 class BlockObservation(Record):
     """Observed Jordan data at the Casimir value of one LengthTwo block.
 
@@ -328,12 +322,13 @@ class BlockObservation(Record):
 
 
 class VerificationVerdict(Record):
-    """Closed form against oracle over a window: one entry per K-weight."""
+    """Closed form against oracle over a window: the report's segments, the
+    one predicted ``((value, mult), ...)`` and whether every weight has it."""
 
-    __slots__ = ("lam", "eps", "m", "window", "entries", "block_observations", "passed")
+    __slots__ = ("lam", "eps", "m", "window", "segments", "predicted", "block_observations", "passed")
 
-    def first_mismatch(self) -> VerifyEntry | None:
-        return next((e for e in self.entries if not e.match), None)
+    def first_mismatch(self) -> Segment | None:
+        return None if self.passed else self.segments[0]
 
 
 def verify_tensor(lam: Scalar, eps: int, m: int, window: tuple | None = None) -> VerificationVerdict:
@@ -345,9 +340,9 @@ def verify_tensor(lam: Scalar, eps: int, m: int, window: tuple | None = None) ->
     weights.  So the prediction is one ``((value, mult), ...)``, the blocks
     counted by value, the same at every weight.  Every weight of the report
     has the same ``(value, mult)`` pairs, from its one characteristic
-    polynomial, so one comparison decides the verdict and every entry's
-    ``match``; the Jordan profiles at the glued values are gathered once per
-    segment.  Disagreement is a verdict, not an error.
+    polynomial, so one comparison decides the verdict; the Jordan profiles
+    at the glued values are read once per segment, at their places in its
+    tuple.  Disagreement is a verdict, not an error.
     """
     lam = as_scalar(lam)
     check_parity(eps)
@@ -355,24 +350,20 @@ def verify_tensor(lam: Scalar, eps: int, m: int, window: tuple | None = None) ->
     report = casimir_report(lam, eps, m, window)
 
     parity = (eps + m) % 2
-    counts: dict = {}
-    glued: dict = {}  # value of a LengthTwo block -> the Jordan profiles seen there
-    for s in summands:
-        for b in s.blocks:
-            value = b.lam ** 2
-            if b.eps == parity:
-                counts[value] = counts.get(value, 0) + 1
-            if isinstance(s, LengthTwo):
-                glued.setdefault(value, set())
+    counts = Counter(b.lam ** 2 for s in summands for b in s.blocks if b.eps == parity)
     predicted = tuple(sorted(counts.items()))
-    passed = tuple([(value, mult) for value, mult, _ in report.entries[0].eigenvalues]) == predicted
-    for segment in {id(ws.eigenvalues): ws.eigenvalues for ws in report.entries}.values():
-        for value, _, sizes in segment:
-            if value in glued:
-                glued[value].add(sizes)
-    entries = tuple(VerifyEntry(ws.k, ws.dim, ws.eigenvalues, predicted, passed) for ws in report.entries)
+    # value of a LengthTwo block -> the Jordan profiles seen there
+    glued = {b.lam ** 2: set() for s in summands if isinstance(s, LengthTwo) for b in s.blocks}
+    first = report.segments[0].eigenvalues
+    passed = tuple([(value, mult) for value, mult, _ in first]) == predicted
+    # every segment lists the values in the first one's order
+    seen = [glued.get(value) for value, _, _ in first]
+    for segment in report.segments:
+        for profiles, (_, _, sizes) in zip(seen, segment.eigenvalues):
+            if profiles is not None:
+                profiles.add(sizes)
     observations = tuple(BlockObservation(v, tuple(sorted(glued[v]))) for v in sorted(glued))
-    return VerificationVerdict(lam, eps, m, report.window, entries, observations, passed)
+    return VerificationVerdict(lam, eps, m, report.window, report.segments, predicted, observations, passed)
 
 
 # --- serialization helpers ----------------------------------------------------
@@ -390,30 +381,28 @@ def _run_to_dict(x) -> dict:
     return {"lambda": format_scalar(x.lam), "eps": x.eps, "m": x.m, "window": list(x.window)}
 
 
+def _weights(segments: tuple):
+    """Each weight of the segments with its segment's spectrum, rendered once."""
+    for seg in segments:
+        spectrum = _spectrum_to_list(seg.eigenvalues)
+        for k in range(seg.first, seg.last + 1, 2):
+            yield k, spectrum
+
+
 def report_to_dict(r: CasimirReport) -> dict:
     return {
         **_run_to_dict(r),
-        "entries": [
-            {"k": ws.k, "dim": ws.dim, "spectrum": _spectrum_to_list(ws.eigenvalues)}
-            for ws in r.entries
-        ],
+        "entries": [{"k": k, "dim": r.m + 1, "spectrum": spectrum} for k, spectrum in _weights(r.segments)],
     }
 
 
 def verdict_to_dict(v: VerificationVerdict) -> dict:
+    predicted = [{"value": format_scalar(val), "mult": mult} for val, mult in v.predicted]
     return {
         **_run_to_dict(v),
         "entries": [
-            {
-                "k": e.k,
-                "dim": e.dim,
-                "spectrum": _spectrum_to_list(e.observed),
-                "predicted": [
-                    {"value": format_scalar(val), "mult": mult} for val, mult in e.predicted
-                ],
-                "match": e.match,
-            }
-            for e in v.entries
+            {"k": k, "dim": v.m + 1, "spectrum": spectrum, "predicted": predicted, "match": v.passed}
+            for k, spectrum in _weights(v.segments)
         ],
         "blocks": [
             {

@@ -17,7 +17,7 @@ from sl2hc.core import (
     parse_class,
     principal_is_irreducible,
 )
-from sl2hc.oracle import UnexpectedEigenvalueError, VerificationVerdict, VerifyEntry
+from sl2hc.oracle import Segment, UnexpectedEigenvalueError, VerificationVerdict
 
 
 def run(capsys, *argv):
@@ -76,19 +76,13 @@ def test_verify_reversed_window(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    entry = VerifyEntry(
-        k=3,
-        dim=1,
-        observed=((Fraction(9, 4), 1, (1,)),),
-        predicted=((Fraction(1, 4), 1),),
-        match=False,
-    )
     fake = VerificationVerdict(
         lam=Fraction(1, 2),
         eps=0,
         m=0,
         window=(-3, 3),
-        entries=(entry,),
+        segments=(Segment(first=3, last=3, eigenvalues=((Fraction(9, 4), 1, (1,)),)),),
+        predicted=((Fraction(1, 4), 1),),
         block_observations=(),
         passed=False,
     )
@@ -111,12 +105,23 @@ def test_text_verify_and_sweep_render_no_json_payload(capsys, monkeypatch):
 
 
 def test_json_verify_failure_exit_code(capsys, monkeypatch):
-    entry = VerifyEntry(3, 1, ((Fraction(9, 4), 1, (1,)),), ((Fraction(1, 4), 1),), False)
-    fake = VerificationVerdict(Fraction(1, 2), 0, 0, (-3, 3), (entry,), (), False)
+    segment = Segment(3, 3, ((Fraction(9, 4), 1, (1,)),))
+    fake = VerificationVerdict(Fraction(1, 2), 0, 0, (-3, 3), (segment,), ((Fraction(1, 4), 1),), (), False)
     monkeypatch.setattr(cli, "verify_tensor", lambda *a, **kw: fake)
     code, out, _ = run(capsys, "--format", "json", "verify", "1/2", "0", "0")
     assert code == 3
-    assert json.loads(out)["verdict"] == "FAIL"
+    payload = json.loads(out)
+    assert payload["verdict"] == "FAIL"
+    # the segment expands to its one weight, with the prediction and the verdict
+    assert payload["entries"] == [
+        {
+            "k": 3,
+            "dim": 1,
+            "spectrum": [{"value": "9/4", "mult": 1, "jordan": [1]}],
+            "predicted": [{"value": "1/4", "mult": 1}],
+            "match": False,
+        }
+    ]
 
 
 def test_tensor_text(capsys):

@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -20,9 +21,7 @@ from sl2hc.oracle import (
     FinDimRealization,
     PrincipalSeriesRealization,
     UnexpectedEigenvalueError,
-    VerificationVerdict,
-    VerifyEntry,
-    WeightSpectrum,
+    Segment,
     casimir_matrix,
     casimir_on_symmetric_power,
     casimir_report,
@@ -36,6 +35,14 @@ from sl2hc.oracle import (
     _diagonals,
 )
 from sl2hc.tensor import Irr, LengthTwo, block_parameter, decomposition_semisimplification, ps_tensor
+
+
+def _weights(report):
+    """Each weight of a report or verdict as (k, dim, eigenvalues), its
+    segment's spectrum expanded to every weight the segment covers."""
+    return tuple(
+        (k, report.m + 1, seg.eigenvalues) for seg in report.segments for k in range(seg.first, seg.last + 1, 2)
+    )
 
 
 def test_principal_series_realization_basics():
@@ -91,17 +98,17 @@ def test_casimir_matrix_frozen_two_by_two():
 
 def test_casimir_report_generic_case():
     report = casimir_report(Fraction(1, 2), 0, 1, (-5, 5))
-    assert [ws.k for ws in report.entries] == [-5, -3, -1, 1, 3, 5]
-    for ws in report.entries:
-        assert ws.dim == 2
-        assert ws.eigenvalues == ((Fraction(1, 4), 1, (1,)), (Fraction(9, 4), 1, (1,)))
+    assert [k for k, _, _ in _weights(report)] == [-5, -3, -1, 1, 3, 5]
+    for _, dim, eigenvalues in _weights(report):
+        assert dim == 2
+        assert eigenvalues == ((Fraction(1, 4), 1, (1,)), (Fraction(9, 4), 1, (1,)))
 
 
 def test_casimir_report_sees_nontrivial_jordan_block():
     # the paired factors of I(0,0) (x) V(1) form a non-split extension
     report = casimir_report(0, 0, 1, (-5, 5))
-    for ws in report.entries:
-        assert ws.eigenvalues == ((Fraction(1), 2, (2,)),)
+    for _, _, eigenvalues in _weights(report):
+        assert eigenvalues == ((Fraction(1), 2, (2,)),)
 
 
 def test_reducibility_points():
@@ -222,9 +229,9 @@ def test_banded_oracle_matches_dense_reference(case):
     mat = casimir_matrix(PrincipalSeriesRealization(lam, eps), FinDimRealization(m), k)
     assert _band_rows(*band) == [[x * lam.denominator ** 2 for x in row] for row in mat]
     candidates = sorted({(lam + m - 2 * j) ** 2 for j in range(m + 1)})
-    ws = casimir_report(lam, eps, m, (k, k)).entries[0]
-    assert (ws.k, ws.dim) == (k, len(mat))
-    assert ws.eigenvalues == _dense_spectrum(mat, candidates)
+    ((wk, dim, eigenvalues),) = _weights(casimir_report(lam, eps, m, (k, k)))
+    assert (wk, dim) == (k, len(mat))
+    assert eigenvalues == _dense_spectrum(mat, candidates)
 
 
 def test_banded_oracle_takes_all_three_jordan_paths(monkeypatch):
@@ -242,14 +249,14 @@ def test_banded_oracle_takes_all_three_jordan_paths(monkeypatch):
     diag, upper, lower = _diagonals(1, 1, 2, -2)
     assert not all(upper) and all(lower)
     candidates = eigenvalue_candidates(Fraction(1), 2)
-    ws = casimir_report(1, 0, 2, (-2, -2)).entries[0]
-    assert ws.eigenvalues == _dense_spectrum(_band_rows(diag, upper, lower), candidates)
-    assert ws.eigenvalues[0] == (Fraction(1), 2, (2,)) and calls == []
+    ((_, _, eigenvalues),) = _weights(casimir_report(1, 0, 2, (-2, -2)))
+    assert eigenvalues == _dense_spectrum(_band_rows(diag, upper, lower), candidates)
+    assert eigenvalues[0] == (Fraction(1), 2, (2,)) and calls == []
     # both ladder zeros fall inside the k = 0 space: one rank decides
     diag, upper, lower = _diagonals(1, 1, 2, 0)
     assert not all(upper) and not all(lower)
-    ws = casimir_report(1, 0, 2, (0, 0)).entries[0]
-    assert ws.eigenvalues == _dense_spectrum(_band_rows(diag, upper, lower), candidates)
+    ((_, _, eigenvalues),) = _weights(casimir_report(1, 0, 2, (0, 0)))
+    assert eigenvalues == _dense_spectrum(_band_rows(diag, upper, lower), candidates)
     assert len(calls) == 1
     # no Casimir value repeats more than twice, so only a matrix given
     # directly reaches the dense rank sequence: J2 + J2 at 0, after one rank
@@ -275,14 +282,14 @@ def _report_cases(draw):
 @settings(max_examples=60, deadline=None)
 def test_casimir_report_equals_each_weight_factored_alone(case):
     lam, eps, m, (lo, hi) = case
-    expected = tuple(casimir_report(lam, eps, m, (k, k)).entries[0] for k in range(lo, hi + 1, 2))
-    assert casimir_report(*case).entries == expected
+    expected = tuple(_weights(casimir_report(lam, eps, m, (k, k)))[0] for k in range(lo, hi + 1, 2))
+    assert _weights(casimir_report(*case)) == expected
 
 
 def _dense_weight(left, right, k, candidates):
     """Weight k of left (x) right taken alone on the dense ``casimir_matrix``."""
     mat = casimir_matrix(left, right, k)
-    return WeightSpectrum(k, len(mat), _dense_spectrum(mat, candidates))
+    return k, len(mat), _dense_spectrum(mat, candidates)
 
 
 def _dense_entries(lam, eps, m, window):
@@ -317,7 +324,7 @@ def _segment_cases(draw):
 @given(_segment_cases())
 @settings(max_examples=60, deadline=None)
 def test_segmented_report_equals_the_dense_reference_at_every_weight(case):
-    assert casimir_report(*case).entries == _dense_entries(*case)
+    assert _weights(casimir_report(*case)) == _dense_entries(*case)
 
 
 @st.composite
@@ -339,10 +346,10 @@ def test_across_a_weight_only_the_value_at_its_step_changes(case):
     to k+2 the dense reference changes at (k+1)^2 alone; the report, which
     takes only that value again after a break, equals it at every weight."""
     dense = _dense_entries(*case)
-    for a, b in zip(dense, dense[1:]):
-        changed = {va[0] for va, vb in zip(a.eigenvalues, b.eigenvalues) if va != vb}
-        assert changed <= {(a.k + 1) ** 2}
-    assert casimir_report(*case).entries == dense
+    for (k, _, a), (_, _, b) in zip(dense, dense[1:]):
+        changed = {va[0] for va, vb in zip(a, b) if va != vb}
+        assert changed <= {(k + 1) ** 2}
+    assert _weights(casimir_report(*case)) == dense
 
 
 @given(
@@ -363,9 +370,9 @@ def test_an_empty_break_set_fails_the_dense_reference(monkeypatch):
 
     case = (3, 0, 8, default_window(3, 0, 8))
     dense = _dense_entries(*case)
-    assert casimir_report(*case).entries == dense
+    assert _weights(casimir_report(*case)) == dense
     monkeypatch.setattr(oracle, "_breaks", lambda lam, eps, m: frozenset())
-    assert casimir_report(*case).entries != dense
+    assert _weights(casimir_report(*case)) != dense
 
 
 @pytest.mark.parametrize(
@@ -408,8 +415,9 @@ def test_one_characteristic_polynomial_per_report_and_no_jordan_call_at_multipli
     # Jordan sizes at each repeated value of the first weight, then after each
     # break at k - 2 only at (k-1)^2, when that value is repeated
     breaks = _breaks(Fraction(lam), eps, m)
-    repeated = {value for value, mult, _ in report.entries[0].eigenvalues if mult >= 2}
-    retaken = sum(1 for ws in report.entries[1:] if ws.k - 2 in breaks and (ws.k - 1) ** 2 in repeated)
+    weights = _weights(report)
+    repeated = {value for value, mult, _ in weights[0][2] if mult >= 2}
+    retaken = sum(1 for k, _, _ in weights[1:] if k - 2 in breaks and (k - 1) ** 2 in repeated)
     assert len(jordans) == len(repeated) + retaken
 
 
@@ -503,6 +511,40 @@ def test_casimir_report_refuses_a_window_without_weights():
         casimir_report(Fraction(1, 2), 0, 1, (2, 2))
     with pytest.raises(ValueError):
         verify_tensor(Fraction(1, 2), 0, 1, (2, 2))
+    # a reversed window, which the command line refuses before the library sees it
+    with pytest.raises(ValueError, match="^window must be nonempty$"):
+        casimir_report(Fraction(1, 2), 0, 1, (3, 1))
+    with pytest.raises(ValueError, match="^window must be nonempty$"):
+        verify_tensor(Fraction(1, 2), 0, 1, (3, 1))
+
+
+def test_a_report_without_breaks_is_one_segment_however_wide():
+    lo, hi = default_window(10**6, 0, 1)
+    report = casimir_report(10**6, 0, 1)
+    candidates = eigenvalue_candidates(Fraction(10**6), 1)
+    assert report.segments == (Segment(lo, hi, tuple((c, 1, (1,)) for c in candidates)),)
+
+
+def test_verify_tensor_cost_does_not_follow_the_window():
+    start = time.perf_counter()
+    verdict = verify_tensor(10**6, 0, 1)
+    assert time.perf_counter() - start < 0.5
+    assert verdict.passed and len(verdict.segments) == 1
+
+
+@given(_integral_cases())
+@settings(max_examples=60, deadline=None)
+def test_each_break_inside_the_window_ends_a_segment(case):
+    """One segment, plus one for each break b with first weight <= b < last
+    weight; the segments tile the window's weights in order."""
+    lam, eps, m, window = case
+    report = casimir_report(*case)
+    ks = [k for k, _, _ in _weights(report)]
+    assert ks == [k for k in range(window[0], window[1] + 1) if (k - eps - m) % 2 == 0]
+    inside = sorted(b for b in _breaks(lam, eps, m) if ks[0] <= b < ks[-1])
+    assert len(report.segments) == 1 + len(inside)
+    assert [seg.last for seg in report.segments[:-1]] == inside
+    assert all(a.last + 2 == b.first for a, b in zip(report.segments, report.segments[1:]))
 
 
 def test_verify_tensor_large_highest_weights():
@@ -523,7 +565,10 @@ def test_highest_weight_checked_as_findim_checks_it(bad):
 
 def _reference_verdict(lam, eps, m, window):
     """The verdict ``verify_tensor`` must give, built the plain way: spectra
-    of the dense Casimir matrices, and a prediction keyed by Fraction values."""
+    of the dense Casimir matrices, and a prediction keyed by Fraction values,
+    both taken at every weight.  Returns the window, one
+    (k, dim, eigenvalues, predicted, match) per weight, the block
+    observations and the verdict."""
     summands = ps_tensor(lam, eps, m)
     parts = [
         (casimir_value(cls), ktype_function(cls), mult)
@@ -538,19 +583,19 @@ def _reference_verdict(lam, eps, m, window):
     for k in range(lo, hi + 1):
         if (k - eps - m) % 2:
             continue
-        ws = _dense_weight(left, right, k, candidates)
+        _, dim, eigenvalues = _dense_weight(left, right, k, candidates)
         predicted = {}
         for value, ktf, mult in parts:
             count = mult * ktf.value(k)
             if count:
                 predicted[value] = predicted.get(value, 0) + count
-        observed = {value: mult for value, mult, _ in ws.eigenvalues}
-        entries.append(VerifyEntry(k, ws.dim, ws.eigenvalues, tuple(sorted(predicted.items())), observed == predicted))
-        for value, _, sizes in ws.eigenvalues:
+        observed = {value: mult for value, mult, _ in eigenvalues}
+        entries.append((k, dim, eigenvalues, tuple(sorted(predicted.items())), observed == predicted))
+        for value, _, sizes in eigenvalues:
             if value in profiles:
                 profiles[value].add(sizes)
     blocks = tuple(BlockObservation(v, tuple(sorted(profiles[v]))) for v in block_values)
-    return VerificationVerdict(lam, eps, m, (lo, hi), tuple(entries), blocks, all(e.match for e in entries))
+    return (lo, hi), tuple(entries), blocks, all(match for *_, match in entries)
 
 
 @st.composite
@@ -570,8 +615,14 @@ def _verify_cases(draw):
 @given(_verify_cases())
 @settings(max_examples=60, deadline=None)
 def test_verify_tensor_equals_dense_fraction_keyed_reference(case):
+    lam, eps, m, _ = case
     verdict = verify_tensor(*case)
-    assert verdict == _reference_verdict(*case)
+    window, entries, blocks, passed = _reference_verdict(*case)
+    assert (verdict.lam, verdict.eps, verdict.m, verdict.window) == (lam, eps, m, window)
+    # each weight: its segment's spectrum, the one prediction and the one verdict
+    weights = _weights(verdict)
+    assert tuple((k, dim, eigenvalues, verdict.predicted, verdict.passed) for k, dim, eigenvalues in weights) == entries
+    assert (verdict.block_observations, verdict.passed) == (blocks, passed)
     assert verdict.passed
 
 

@@ -31,9 +31,8 @@ from sl2hc.oracle import (
     FinDimRealization,
     Ladder,
     PrincipalSeriesRealization,
+    Segment,
     VerificationVerdict,
-    VerifyEntry,
-    WeightSpectrum,
     casimir_report,
     verify_tensor,
 )
@@ -52,11 +51,10 @@ FIELDS = {
     ClassPoint: ("kind", "lam0", "eps0"),
     PosetOps: ("leq", "join", "meet"),
     Ladder: ("lam", "eps", "lo", "hi"),
-    WeightSpectrum: ("k", "dim", "eigenvalues"),
-    CasimirReport: ("lam", "eps", "m", "window", "entries"),
-    VerifyEntry: ("k", "dim", "observed", "predicted", "match"),
+    Segment: ("first", "last", "eigenvalues"),
+    CasimirReport: ("lam", "eps", "m", "window", "segments"),
     BlockObservation: ("casimir", "jordan_profiles"),
-    VerificationVerdict: ("lam", "eps", "m", "window", "entries", "block_observations", "passed"),
+    VerificationVerdict: ("lam", "eps", "m", "window", "segments", "predicted", "block_observations", "passed"),
 }
 
 TWINS = {
@@ -88,7 +86,7 @@ def _block(lam: Fraction, eps: int):
 
 
 def samples(lam: Fraction, eps: int, m: int, n: int) -> list:
-    """One instance of each of the 17 classes, built from the draw."""
+    """One instance of each of the 16 classes, built from the draw."""
     irr = _irreducible(lam, eps)
     ds = DiscreteSeries(1 if n % 2 else -1, m)
     point = ps_class_point(irr.lam, irr.eps)
@@ -107,9 +105,8 @@ def samples(lam: Fraction, eps: int, m: int, n: int) -> list:
         point,
         sub_poset_ops(closure({HOL_POINT}), {FD_POINT, point}),
         FinDimRealization(m) if n % 2 else PrincipalSeriesRealization(lam, eps),
-        report.entries[0],
+        report.segments[0],
         report,
-        verdict.entries[-1],
         BlockObservation(lam * lam, ((m + 1,), (1,) * (n + 1))),
         verdict,
     ]
@@ -194,13 +191,12 @@ def test_reprs_pinned():
         "Ladder(lam=Fraction(-1, 2), eps=1, lo=None, hi=None)"
     )
     assert repr(casimir_report(Fraction(1, 2), 0, 1, (1, 1))) == (
-        "CasimirReport(lam=Fraction(1, 2), eps=0, m=1, window=(1, 1), entries=(WeightSpectrum(k=1, dim=2, "
+        "CasimirReport(lam=Fraction(1, 2), eps=0, m=1, window=(1, 1), segments=(Segment(first=1, last=1, "
         "eigenvalues=((Fraction(1, 4), 1, (1,)), (Fraction(9, 4), 1, (1,)))),))"
     )
     assert repr(verify_tensor(0, 0, 1, (-1, 1))) == (
-        "VerificationVerdict(lam=Fraction(0, 1), eps=0, m=1, window=(-1, 1), entries=("
-        "VerifyEntry(k=-1, dim=2, observed=((Fraction(1, 1), 2, (2,)),), predicted=((Fraction(1, 1), 2),), "
-        "match=True), VerifyEntry(k=1, dim=2, observed=((Fraction(1, 1), 2, (2,)),), "
-        "predicted=((Fraction(1, 1), 2),), match=True)), block_observations=("
+        "VerificationVerdict(lam=Fraction(0, 1), eps=0, m=1, window=(-1, 1), segments=("
+        "Segment(first=-1, last=1, eigenvalues=((Fraction(1, 1), 2, (2,)),)),), "
+        "predicted=((Fraction(1, 1), 2),), block_observations=("
         "BlockObservation(casimir=Fraction(1, 1), jordan_profiles=((2,),)),), passed=True)"
     )
