@@ -476,78 +476,66 @@ def casimir_value(x: IrreducibleClass) -> Fraction:
 class KTypeFunction(Record):
     """Exact K-multiplicity function on one parity class of weights.
 
-    Stored as explicit values on a minimal window plus two constant tails
-    (the eventual values for k -> -oo and k -> +oo along the parity class).
-    The representation is canonical, so equality of the fields is equality
-    of functions.
+    Stored as explicit values on a step-2 window plus two constant tails
+    (the values for k -> -oo and k -> +oo along the parity class).  Weights,
+    multiplicities and tails are ints; anything else, bools included, is
+    refused.  The constructor trims the window to its canonical form: no
+    leading entry equals ``tail_left`` and no trailing one ``tail_right``,
+    except that a pure step between unequal tails keeps its first right-tail
+    point.  So equality of the fields is equality of functions, whatever
+    window the fields were given on.
     """
 
     __slots__ = ("parity", "tail_left", "tail_right", "values")  # values: ((k, mult), ...)
 
     def __post_init__(self) -> None:
-        check_parity(self.parity)
-        if self.tail_left < 0 or self.tail_right < 0:
+        parity, left, right = check_parity(self.parity), self.tail_left, self.tail_right
+        pts = tuple((k, v) for k, v in self.values)
+        for n in (left, right, *(x for pt in pts for x in pt)):
+            if not isinstance(n, int) or isinstance(n, bool):
+                raise ValueError(f"weights, multiplicities and tails must be ints, got {n!r}")
+        if left < 0 or right < 0:
             raise ValueError("tail multiplicities must be nonnegative")
-        ks = [k for k, _ in self.values]
-        if ks and ks != list(range(ks[0], ks[-1] + 1, 2)):
-            raise ValueError("window must be step-2 contiguous")
-        for k, v in self.values:
-            if (k - self.parity) % 2 != 0:
-                raise ValueError(f"weight {k} is off the parity class {self.parity}")
-            if v < 0:
-                raise ValueError("multiplicities must be nonnegative")
-        if not ks and self.tail_left != self.tail_right:
-            raise ValueError("empty window needs equal tails")
-
-    @staticmethod
-    def build(parity: int, values: Mapping[int, int], tail_left: int, tail_right: int) -> "KTypeFunction":
-        """Canonical constructor; trims window entries already implied by the tails."""
-        check_parity(parity)
-        if tail_left < 0 or tail_right < 0:
-            raise ValueError("tail multiplicities must be nonnegative")
-        pts = sorted((int(k), int(v)) for k, v in values.items())
         for k, v in pts:
             if (k - parity) % 2 != 0:
                 raise ValueError(f"weight {k} is off the parity class {parity}")
             if v < 0:
                 raise ValueError("multiplicities must be nonnegative")
-        if not pts:
-            if tail_left != tail_right:
-                raise ValueError("cannot place the tail crossover without window values")
-            return KTypeFunction(parity, tail_left, tail_right, ())
-        lo, hi = pts[0][0], pts[-1][0]
-        filled = {k: 0 for k in range(lo, hi + 1, 2)}
-        filled.update(dict(pts))
-        # pad one tail point per side so the crossover is always in view
-        seq = [(lo - 2, tail_left)] + sorted(filled.items()) + [(hi + 2, tail_right)]
-        first = next((i for i, (_, v) in enumerate(seq) if v != tail_left), None)
-        last = next((i for i in reversed(range(len(seq))) if seq[i][1] != tail_right), None)
-        if first is None and last is None:
-            return KTypeFunction(parity, tail_left, tail_right, ())
-        if first is not None and last is not None and first <= last:
-            window = tuple(seq[first : last + 1])
-        else:
-            # pure step between the tails; anchor at the first right-tail point
-            assert tail_left != tail_right and first is not None
-            window = (seq[first],)
-        return KTypeFunction(parity, tail_left, tail_right, window)
+        if any(b - a != 2 for (a, _), (b, _) in zip(pts, pts[1:])):
+            raise ValueError("window must be step-2 contiguous")
+        if not pts and left != right:
+            raise ValueError("empty window needs equal tails")
+        # Trim the tail-valued ends.  A pure step between unequal tails keeps
+        # its first right-tail point, which may be the one padded past the end.
+        if pts:
+            pts += ((pts[-1][0] + 2, right),)
+        first = next((i for i, (_, v) in enumerate(pts) if v != left), len(pts))
+        last = max((i for i, (_, v) in enumerate(pts) if v != right), default=-1)
+        if left != right:
+            last = max(last, first)
+        _setattr(self, "values", pts[first : last + 1])
+
+    @staticmethod
+    def build(parity: int, values: Mapping[int, int], tail_left: int, tail_right: int) -> "KTypeFunction":
+        """The function with these values, 0 in the window's gaps and these tails."""
+        pts = dict(values)
+        lo = min(pts, default=0)
+        for i in range(1, int((max(pts, default=lo) - lo) // 2)):
+            pts.setdefault(lo + 2 * i, 0)
+        return KTypeFunction(parity, tail_left, tail_right, sorted(pts.items()))
 
     @staticmethod
     def zero(parity: int) -> "KTypeFunction":
-        return KTypeFunction.build(parity, {}, 0, 0)
+        return KTypeFunction(parity, 0, 0, ())
 
     def value(self, k: int) -> int:
         if (k - self.parity) % 2 != 0:
             return 0
-        if not self.values:
+        if not self.values or k < self.values[0][0]:
             return self.tail_left
-        k0 = self.values[0][0]
-        k1 = self.values[-1][0]
-        if k < k0:
-            return self.tail_left
-        if k > k1:
+        if k > self.values[-1][0]:
             return self.tail_right
-        return self.values[(k - k0) // 2][1]
+        return self.values[(k - self.values[0][0]) // 2][1]
 
     def table(self, lo: int, hi: int) -> dict:
         """Explicit values on the window [lo, hi] (parity-class points only)."""
@@ -573,8 +561,8 @@ class KTypeFunction(Record):
     def scale(self, n: int) -> "KTypeFunction":
         if n < 0:
             raise ValueError("multiplicities must stay nonnegative")
-        return KTypeFunction.build(
-            self.parity, {k: n * v for k, v in self.values}, n * self.tail_left, n * self.tail_right
+        return KTypeFunction(
+            self.parity, n * self.tail_left, n * self.tail_right, [(k, n * v) for k, v in self.values]
         )
 
     def __add__(self, other: "KTypeFunction") -> "KTypeFunction":
@@ -582,33 +570,27 @@ class KTypeFunction(Record):
             return NotImplemented
         if self.parity != other.parity:
             raise ValueError("cannot add K-type functions on different parity classes")
-        ks = [k for k, _ in self.values] + [k for k, _ in other.values]
-        if not ks:
-            return KTypeFunction.build(
-                self.parity, {}, self.tail_left + other.tail_left, self.tail_right + other.tail_right
-            )
-        lo, hi = min(ks), max(ks)
-        vals = {k: self.value(k) + other.value(k) for k in range(lo, hi + 1, 2)}
-        return KTypeFunction.build(
-            self.parity, vals, self.tail_left + other.tail_left, self.tail_right + other.tail_right
+        ks = [k for k, _ in self.values + other.values]
+        window = range(min(ks), max(ks) + 1, 2) if ks else ()
+        return KTypeFunction(
+            self.parity,
+            self.tail_left + other.tail_left,
+            self.tail_right + other.tail_right,
+            [(k, self.value(k) + other.value(k)) for k in window],
         )
 
     def convolve(self, other: "KTypeFunction") -> "KTypeFunction":
         """Convolution; the right factor must be finitely supported."""
         if not other.is_finite:
             raise ValueError("convolution requires a finitely supported right factor")
-        parity = (self.parity + other.parity) % 2
         pts = other.support_points()
-        if not pts:
-            return KTypeFunction.zero(parity)
         total = sum(v for _, v in pts)
-        if not self.values:
-            const = self.tail_left * total
-            return KTypeFunction.build(parity, {}, const, const)
-        lo = self.values[0][0] + pts[0][0]
-        hi = self.values[-1][0] + pts[-1][0]
-        vals = {k: sum(gv * self.value(k - b) for b, gv in pts) for k in range(lo, hi + 1, 2)}
-        return KTypeFunction.build(parity, vals, self.tail_left * total, self.tail_right * total)
+        ks = [k for k, _ in self.values]
+        window = range(ks[0] + pts[0][0], ks[-1] + pts[-1][0] + 1, 2) if ks and pts else ()
+        vals = [(k, sum(gv * self.value(k - b) for b, gv in pts)) for k in window]
+        return KTypeFunction(
+            (self.parity + other.parity) % 2, self.tail_left * total, self.tail_right * total, vals
+        )
 
 
 def ktype_function(x: IrreducibleClass) -> KTypeFunction:
@@ -665,7 +647,7 @@ def ascone_from_ktypes(f: KTypeFunction) -> ASCone:
     side is positive, which is what scaling the truncated support to zero
     detects.
     """
-    if not any(v for _, v in f.values) and f.tail_left == 0 and f.tail_right == 0:
+    if f == KTypeFunction.zero(f.parity):
         raise ValueError("undefined on empty support")
     return ASCone((f.tail_right > 0, f.tail_left > 0))
 

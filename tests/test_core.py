@@ -1,7 +1,8 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sl2hc.core import (
     ASCone,
@@ -27,6 +28,7 @@ from sl2hc.core import (
     principal_is_irreducible,
     principal_iso_equal,
 )
+from sl2hc.tensor import tensor_with_finite
 
 
 def test_as_scalar_accepts_ints_strings_fractions():
@@ -185,6 +187,68 @@ def test_ktype_build_rejects_bad_input():
         KTypeFunction.build(0, {1: 1}, 0, 0)  # parity mismatch
     with pytest.raises(ValueError):
         KTypeFunction.build(2, {}, 0, 0)
+    # weights, multiplicities and tails are ints, in build and the constructor alike
+    for parity, values, tail_left, tail_right in [
+        (0, {Fraction(1, 2): 1}, 0, 0),
+        (0, {Fraction(2): 1}, 0, 0),
+        (0, {0: 1.5}, 0, 0),
+        (0, {0: 1.0}, 0, 0),
+        (0, {0: 1}, 0, 1.0),
+        (0, {}, 1.0, 1.0),
+        (0, {0: True}, 0, 0),
+        (1, {True: 1}, 0, 0),
+        (0, {0: 1}, False, 0),
+    ]:
+        with pytest.raises(ValueError):
+            KTypeFunction.build(parity, values, tail_left, tail_right)
+        with pytest.raises(ValueError):
+            KTypeFunction(parity, tail_left, tail_right, tuple(values.items()))
+
+
+@st.composite
+def _ktype_data(draw, parity=None):
+    """Constructor fields (parity, tail_left, tail_right, [(k, mult), ...])."""
+    if parity is None:
+        parity = draw(st.sampled_from((0, 1)))
+    tail_left, tail_right = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    mults = draw(st.lists(st.integers(0, 2), min_size=int(tail_left != tail_right), max_size=6))
+    start = parity + 2 * draw(st.integers(-3, 3))
+    return parity, tail_left, tail_right, [(start + 2 * i, v) for i, v in enumerate(mults)]
+
+
+@st.composite
+def _ktype_pairs(draw):
+    """Two K-type functions on one parity class; often one function written twice."""
+    first = draw(_ktype_data())
+    parity, tail_left, tail_right, pts = first
+    if not draw(st.booleans()):
+        return first, draw(_ktype_data(parity))
+    lo = pts[0][0] if pts else parity
+    left, right = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    padded = (
+        [(lo - 2 * i, tail_left) for i in range(left, 0, -1)]
+        + pts
+        + [(lo + 2 * (len(pts) + i), tail_right) for i in range(right)]
+    )
+    return first, (parity, tail_left, tail_right, padded)
+
+
+@given(_ktype_pairs())
+@example(((0, 0, 0, ((0, 0),)), (0, 0, 0, ())))
+@example(((0, 0, 0, [(0, 1)]), (0, 0, 0, [(-2, 0), (0, 1), (2, 0)])))
+@example(((1, 1, 0, [(-1, 0)]), (1, 1, 0, [(-3, 1), (-1, 0), (1, 0)])))
+def test_ktype_constructor_and_build_agree(pair):
+    fs = []
+    for parity, tail_left, tail_right, pts in pair:
+        f = KTypeFunction(parity, tail_left, tail_right, pts)
+        g = KTypeFunction.build(parity, dict(pts), tail_left, tail_right)
+        assert f == g and hash(f) == hash(g)
+        fs.append(f)
+    f, g = fs
+    ks = [k for *_, pts in pair for k, _ in pts] or [f.parity]
+    lo, hi = min(ks) - 2, max(ks) + 2
+    for other in (g, KTypeFunction.zero(f.parity)):
+        assert (f == other) == (f.table(lo, hi) == other.table(lo, hi))
 
 
 def test_ktype_add_and_scale():
@@ -209,6 +273,40 @@ def test_ktype_convolution_matches_module_sum():
 def test_ktype_convolution_total_is_multiplicative(m1, m2):
     f = ktype_function(FinDim(m1)).convolve(ktype_function(FinDim(m2)))
     assert f.total() == (m1 + 1) * (m2 + 1)
+
+
+def _ktype_digest_classes():
+    yield from (FinDim(m) for m in range(9))
+    yield from (DiscreteSeries(sign, l) for sign in (1, -1) for l in range(9))
+    for q in (1, 2, 3, 5):
+        for p in range(-12, 13):
+            for eps in (0, 1):
+                if principal_is_irreducible(Fraction(p, q), eps):
+                    yield PrincipalIrr(Fraction(p, q), eps)
+
+
+# sha256 over the reprs, one a line, of ktype_function(x), its convolution with
+# V(m), its scale by m, module_ktype_function(tensor_with_finite(x, m)) and the
+# sum of those two, for m <= 4; then of f + g for every pair of classes on one
+# parity class; recorded from the KTypeFunction whose build trimmed the window
+KTYPE_SHA256 = "6bd59c94889b9896fdf4ab306752e157c68b82c43e91e2b82e4d33fd31cd2f9a"
+
+
+def test_ktype_function_reprs_are_pinned():
+    digest = hashlib.sha256()
+    classes = list(_ktype_digest_classes())
+    fs = [ktype_function(x) for x in classes]
+    for x, f in zip(classes, fs):
+        for m in range(5):
+            g = f.convolve(ktype_function(FinDim(m)))
+            h = module_ktype_function(tensor_with_finite(x, m))
+            for r in (f, g, f.scale(m), h, g + h):
+                digest.update(f"{r!r}\n".encode("ascii"))
+    for i, f in enumerate(fs):
+        for g in fs[i:]:
+            if f.parity == g.parity:
+                digest.update(f"{f + g!r}\n".encode("ascii"))
+    assert digest.hexdigest() == KTYPE_SHA256
 
 
 def test_module_ktype_function():
