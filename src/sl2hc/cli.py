@@ -19,15 +19,15 @@ import io
 import os
 import re
 import sys
-from fractions import Fraction
 
 from .core import (
     ASCone,
-    IrreducibleClass,
     UnexpectedEigenvalueError,
     VirtualModule,
     as_cone,
     as_scalar,
+    check_highest_weight,
+    check_parity,
     display_sort_key,
     format_class,
     format_scalar,
@@ -51,42 +51,28 @@ MAX_LATTICE_PS_POINTS = 12  # 20,480 sets; each further point doubles the output
 # --- argument converters --------------------------------------------------------
 
 
-def _scalar_arg(text: str) -> Fraction:
-    try:
-        return as_scalar(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _checked(check, read=str, listed=False):
+    """An argparse type: ``check(read(text))``, or with ``listed`` the tuple
+    over the nonblank comma-separated tokens.  A ValueError of ``read`` is
+    argparse's "invalid <read> value"; one of ``check``, the library's own
+    rule, becomes the argument's error with the library's message."""
+
+    def convert(text: str):
+        values = [read(tok.strip()) for tok in text.split(",") if tok.strip()] if listed else [read(text)]
+        try:
+            values = tuple(map(check, values))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return values if listed else values[0]
+
+    convert.__name__ = read.__name__
+    return convert
 
 
-def _parity_arg(text: str) -> int:
-    if text not in ("0", "1"):
-        raise argparse.ArgumentTypeError(f"parity must be 0 or 1, got {text!r}")
-    return int(text)
-
-
-def _nonneg_int_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
-
-
-def _class_arg(text: str) -> IrreducibleClass:
-    try:
-        return parse_class(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _scalar_list_arg(text: str) -> tuple:
-    return tuple(_scalar_arg(tok.strip()) for tok in text.split(",") if tok.strip())
-
-
-def _int_list_arg(text: str) -> tuple:
-    return tuple(_nonneg_int_arg(tok.strip()) for tok in text.split(",") if tok.strip())
+_scalar_arg = _checked(as_scalar)
+_parity_arg = _checked(check_parity, int)
+_weight_arg = _checked(check_highest_weight, int)
+_class_arg = _checked(parse_class)
 
 
 # --- shared renderers -----------------------------------------------------------
@@ -340,11 +326,15 @@ def _sweep_lines(verdicts: list, failures: int):
 class _Parser(argparse.ArgumentParser):
     """Reads every token that starts with '-' and a digit as a value, so that
     negative rationals such as -7/3 need no '--' (argparse alone accepts only
-    negative integers and decimals).  Subparsers inherit the class."""
+    negative integers and decimals).  A usage error raises ValueError, which
+    ``main`` prints as one line.  Subparsers inherit the class."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\d")
+
+    def error(self, message: str):
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cg", help="tensor product of two finite-dimensional modules")
-    p.add_argument("m1", type=_nonneg_int_arg)
-    p.add_argument("m2", type=_nonneg_int_arg)
+    p.add_argument("m1", type=_weight_arg)
+    p.add_argument("m2", type=_weight_arg)
     p.set_defaults(func=_cmd_cg)
 
     p = sub.add_parser("series", help="composition series of a principal series")
@@ -372,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tensor", help="tensor an irreducible class with V(m)")
     p.add_argument("cls", type=_class_arg, metavar="class", help="V(m), D+(l), D-(l), or I(lam,eps)")
-    p.add_argument("m", type=_nonneg_int_arg)
+    p.add_argument("m", type=_weight_arg)
     p.set_defaults(func=_cmd_tensor)
 
     p = sub.add_parser("ktypes", help="K-type multiplicities over a window")
@@ -391,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lattice", help="submodule lattice over a window of class points")
     p.add_argument(
         "--lambda-keys",
-        type=_scalar_list_arg,
+        type=_checked(as_scalar, listed=True),
         default=(),
         help="comma-separated principal series parameters seeding the window; at most "
         f"{MAX_LATTICE_PS_POINTS} principal series points are enumerated (a key lam gives 1 "
@@ -402,13 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a tensor decomposition against the matrix oracle")
     p.add_argument("lam", type=_scalar_arg)
     p.add_argument("eps", type=_parity_arg)
-    p.add_argument("m", type=_nonneg_int_arg)
+    p.add_argument("m", type=_weight_arg)
     p.add_argument("--window", type=int, nargs=2, metavar=("A", "B"))
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sweep", help="verify a whole parameter grid")
-    p.add_argument("--lambdas", type=_scalar_list_arg, required=True)
-    p.add_argument("--ms", type=_int_list_arg, required=True)
+    p.add_argument("--lambdas", type=_checked(as_scalar, listed=True), required=True)
+    p.add_argument("--ms", type=_checked(check_highest_weight, int, listed=True), required=True)
     p.set_defaults(func=_cmd_sweep)
 
     return parser
@@ -463,18 +453,16 @@ def _write_stdout(text: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         if args.format == "dot" and args.command != "lattice":
             raise ValueError("argument --format: dot output is only supported for the lattice command")
         window = getattr(args, "window", None)
         if window and window[0] > window[1]:
             raise ValueError("argument --window: lower bound exceeds upper bound")
         payload, lines, passed = args.func(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2

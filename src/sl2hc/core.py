@@ -20,7 +20,7 @@ arithmetic plus those two predicates.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from enum import Enum
 from fractions import Fraction
 from functools import total_ordering
@@ -106,11 +106,16 @@ class Record:
         return type(self), self._key(self)
 
 
+def _is_int(n) -> bool:
+    """The one integer rule of the package: an int, and a bool is not one."""
+    return isinstance(n, int) and not isinstance(n, bool)
+
+
 def as_scalar(value: int | str | Fraction) -> Fraction:
     """Coerce to an exact rational; accepts ints, Fractions and 'p/q' strings."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if _is_int(value):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -130,14 +135,14 @@ def format_scalar(x: Fraction) -> str:
 
 def check_parity(eps: int) -> int:
     """``eps`` must be the int 0 or 1 (a bool is not one)."""
-    if not isinstance(eps, int) or isinstance(eps, bool) or eps not in (0, 1):
+    if not _is_int(eps) or eps not in (0, 1):
         raise ValueError(f"parity must be 0 or 1, got {eps!r}")
     return eps
 
 
 def check_highest_weight(m: int) -> int:
     """``m`` must be a nonnegative int (a bool is not one)."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+    if not _is_int(m) or m < 0:
         raise ValueError(f"highest weight must be a nonnegative integer, got {m!r}")
     return m
 
@@ -170,9 +175,9 @@ class DiscreteSeries(Record):
     __slots__ = ("sign", "l")
 
     def __post_init__(self) -> None:
-        if not isinstance(self.sign, int) or isinstance(self.sign, bool) or self.sign not in (1, -1):
+        if not _is_int(self.sign) or self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
-        if not isinstance(self.l, int) or isinstance(self.l, bool) or self.l < 0:
+        if not _is_int(self.l) or self.l < 0:
             raise ValueError(f"discrete series parameter must be a nonnegative integer, got {self.l!r}")
 
 
@@ -221,6 +226,8 @@ class Ladder(Record):
         _setattr(self, "lam", as_scalar(self.lam))
         check_parity(self.eps)
         for bound, sign in ((self.lo, 1), (self.hi, -1)):
+            if bound is not None and not _is_int(bound):
+                raise ValueError(f"a ladder bound must be an int or None, got {bound!r}")
             if bound is not None and ((bound - self.eps) % 2 or self.lam != sign * bound - 1):
                 raise ValueError(f"a ladder bound must be a zero of the coefficient leaving it: {self!r}")
 
@@ -330,29 +337,30 @@ def parse_class(text: str) -> IrreducibleClass:
 # --- virtual modules -------------------------------------------------------
 
 
-class VirtualModule:
+class VirtualModule(Record):
     """Integer combination of irreducible classes (free abelian group element).
 
     Honest modules are the combinations with nonnegative multiplicities;
-    signed combinations arise from cancellation formulas.
+    signed combinations arise from cancellation formulas.  Built from a
+    module, a mapping or (class, mult) pairs, summed per class.
     """
 
     __slots__ = ("_entries",)
+    _defaults = {"_entries": ()}
 
-    def __init__(self, items: Mapping | Iterable = ()) -> None:
-        if isinstance(items, VirtualModule):
-            items = items.items()
-        elif isinstance(items, Mapping):
+    def __post_init__(self) -> None:
+        items = self._entries
+        if isinstance(items, (VirtualModule, Mapping)):
             items = items.items()
         acc: dict = {}
         for cls, mult in items:
             class_sort_key(cls)  # type check
-            if not isinstance(mult, int) or isinstance(mult, bool):
+            if not _is_int(mult):
                 raise TypeError(f"multiplicity must be an int, got {mult!r}")
             acc[cls] = acc.get(cls, 0) + mult
         entries = [(c, n) for c, n in acc.items() if n]
         entries.sort(key=lambda cn: class_sort_key(cn[0]))
-        self._entries: tuple = tuple(entries)
+        _setattr(self, "_entries", tuple(entries))
 
     @classmethod
     def zero(cls) -> "VirtualModule":
@@ -401,17 +409,9 @@ class VirtualModule:
         return self + (-other)
 
     def __rmul__(self, n: int) -> "VirtualModule":
-        if not isinstance(n, int):
+        if not _is_int(n):
             return NotImplemented
         return VirtualModule([(c, n * m) for c, m in self._entries])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VirtualModule):
-            return NotImplemented
-        return self._entries == other._entries
-
-    def __hash__(self) -> int:
-        return hash(self._entries)
 
     def __bool__(self) -> bool:
         return bool(self._entries)
@@ -492,7 +492,7 @@ class KTypeFunction(Record):
         parity, left, right = check_parity(self.parity), self.tail_left, self.tail_right
         pts = tuple((k, v) for k, v in self.values)
         for n in (left, right, *(x for pt in pts for x in pt)):
-            if not isinstance(n, int) or isinstance(n, bool):
+            if not _is_int(n):
                 raise ValueError(f"weights, multiplicities and tails must be ints, got {n!r}")
         if left < 0 or right < 0:
             raise ValueError("tail multiplicities must be nonnegative")

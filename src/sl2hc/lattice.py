@@ -28,6 +28,7 @@ from fractions import Fraction
 from .core import (
     ASCone,
     IrreducibleClass,
+    PrincipalIrr,
     Record,
     Scalar,
     VirtualModule,
@@ -120,10 +121,7 @@ def reduce_to_base(lam: Scalar) -> Fraction:
 
 def ps_class_point(lam: Scalar, eps: int) -> ClassPoint:
     """Class point of an irreducible principal series parameter."""
-    lam = as_scalar(lam)
-    check_parity(eps)
-    if not principal_is_irreducible(lam, eps):
-        raise ValueError(f"not an irreducible class: I({format_scalar(lam)},{eps}) is reducible")
+    lam = PrincipalIrr(lam, eps).lam  # refuses a bad parity or a reducible parameter
     lam0 = reduce_to_base(lam)
     if is_integer(2 * lam0):
         return ClassPoint("ps", lam0, None)

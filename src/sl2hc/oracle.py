@@ -56,11 +56,13 @@ from .core import (
     Record,
     Scalar,
     UnexpectedEigenvalueError,
+    _is_int,
     as_scalar,
     check_highest_weight,
     check_parity,
     format_scalar,
     ladder,
+    principal_is_irreducible,
 )
 from .linalg import root_multiplicity, tridiagonal_char_poly, tridiagonal_jordan_block_sizes
 from .tensor import LengthTwo, ps_tensor
@@ -243,6 +245,8 @@ def casimir_report(lam: Scalar, eps: int, m: int, window: tuple | None = None) -
     if window is None:
         window = default_window(lam, eps, m)
     lo, hi = window
+    if not (_is_int(lo) and _is_int(hi)):
+        raise ValueError(f"window bounds must be ints, got {window!r}")
     if lo > hi:
         raise ValueError("window must be nonempty")
     parity = (eps + m) % 2
@@ -283,10 +287,9 @@ def _breaks(lam: Fraction, eps: int, m: int) -> frozenset:
     ladder's e(a) vanishes only at a = -lam-1, f(a) only at a = lam+1: both
     ladder weights only when I(lam, eps) is reducible.
     """
-    p = lam.numerator
-    if lam.denominator != 1 or (p + 1 - eps) % 2:
+    if principal_is_irreducible(lam, eps):
         return frozenset()
-    bs = range(-m, m + 1, 2)
+    p, bs = lam.numerator, range(-m, m + 1, 2)
     return frozenset({b - p - 1 for b in bs} & {b + p - 1 for b in bs})
 
 
@@ -344,8 +347,6 @@ def verify_tensor(lam: Scalar, eps: int, m: int, window: tuple | None = None) ->
     at the glued values are read once per segment, at their places in its
     tuple.  Disagreement is a verdict, not an error.
     """
-    lam = as_scalar(lam)
-    check_parity(eps)
     summands = ps_tensor(lam, eps, m)
     report = casimir_report(lam, eps, m, window)
 
@@ -363,7 +364,9 @@ def verify_tensor(lam: Scalar, eps: int, m: int, window: tuple | None = None) ->
             if profiles is not None:
                 profiles.add(sizes)
     observations = tuple(BlockObservation(v, tuple(sorted(glued[v]))) for v in sorted(glued))
-    return VerificationVerdict(lam, eps, m, report.window, report.segments, predicted, observations, passed)
+    return VerificationVerdict(
+        report.lam, eps, m, report.window, report.segments, predicted, observations, passed
+    )
 
 
 # --- serialization helpers ----------------------------------------------------

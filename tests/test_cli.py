@@ -186,9 +186,9 @@ def test_ktypes_payload_is_the_ktype_function(case):
 
 def test_ktypes_of_a_huge_highest_weight_lists_no_ktypes(capsys, monkeypatch):
     def refuse(*args):
-        raise AssertionError("ktypes listed the K-types")
+        raise AssertionError("ktypes built a K-type function")
 
-    monkeypatch.setattr(KTypeFunction, "build", refuse)
+    monkeypatch.setattr(KTypeFunction, "__post_init__", refuse)
     code, out, _ = run(capsys, "ktypes", "V(1000000)", "--window", "0", "0")
     assert (code, out) == (0, "parity 0, tail_left 0, tail_right 0\nk=0: 1\n")
     code, out, _ = run(capsys, "ktypes", "V(1000000)", "--window", "999999", "1000003")
@@ -290,6 +290,34 @@ def test_exit_2_on_bad_arguments(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err
+
+
+# The malformed argvs of the benchmark's interactive workload, and three more
+# that argparse itself refuses.
+USAGE_ERRORS = [
+    ("cg", "-1", "2"),
+    ("series", "1/0", "0"),
+    ("series", "1/2", "2"),
+    ("tensor", "X(1)", "2"),
+    ("--format", "dot", "cg", "1", "1"),
+    ("ktypes", "V(2)", "--window", "3", "-3"),
+    ("verify", "1/2", "0", "abc"),
+    ("frobnicate",),
+    ("lattice", "--lambda-keys", "1/0"),
+    ("sweep", "--lambdas", "1", "--ms", "-1"),
+    ("verify", "1/2", "0"),
+    ("cg", "1", "1", "--bogus"),
+    ("ktypes", "V(2)", "--window", "a", "2"),
+]
+
+
+def test_every_usage_error_is_one_line(capsys):
+    for argv in USAGE_ERRORS:
+        for prefix in ((), ("--format", "json")):
+            code, out, err = run(capsys, *prefix, *argv)
+            assert (code, out) == (2, ""), argv
+            assert len(err.splitlines()) == 1 and err.endswith("\n"), (argv, err)
+            assert "usage:" not in err, argv
 
 
 def test_help_exits_zero(capsys):

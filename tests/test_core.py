@@ -28,7 +28,7 @@ from sl2hc.core import (
     principal_is_irreducible,
     principal_iso_equal,
 )
-from sl2hc.tensor import tensor_with_finite
+from sl2hc.tensor import ps_tensor, tensor_with_finite
 
 
 def test_as_scalar_accepts_ints_strings_fractions():
@@ -40,6 +40,22 @@ def test_as_scalar_accepts_ints_strings_fractions():
         as_scalar("one half")
     with pytest.raises((TypeError, ValueError)):
         as_scalar(0.5)
+
+
+def test_a_bool_is_not_an_int_anywhere():
+    """One int rule: a bool is refused as a scalar as it is as a highest weight."""
+    with pytest.raises(ValueError):
+        FinDim(True)
+    for build in (
+        lambda: as_scalar(True),
+        lambda: PrincipalIrr(True, 1),
+        lambda: InfChar(True),
+        lambda: ps_tensor(True, 1, 1),
+    ):
+        with pytest.raises(TypeError, match="cannot interpret True as an exact scalar"):
+            build()
+    with pytest.raises(TypeError):
+        True * VirtualModule.of(FinDim(1))
 
 
 def test_is_integer():

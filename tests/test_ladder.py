@@ -143,6 +143,13 @@ def test_ladder_bounds_must_be_zeros_of_the_leaving_coefficient(lam, eps, lo, hi
         Ladder(lam, eps, lo, hi)
 
 
+@pytest.mark.parametrize("lam, eps, lo, hi", [(0, 1, True, None), (1, 0, 2.0, None), (-3, 0, None, 2.0)])
+def test_ladder_bounds_must_be_ints(lam, eps, lo, hi):
+    """A bool or a float at a zero of the leaving coefficient is still no bound."""
+    with pytest.raises(ValueError, match="a ladder bound must be an int or None"):
+        Ladder(lam, eps, lo, hi)
+
+
 def test_every_class_window_is_accepted():
     classes = [FinDim(m) for m in range(13)]
     classes += [DiscreteSeries(sign, l) for sign in (1, -1) for l in range(13)]

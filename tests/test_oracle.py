@@ -518,6 +518,14 @@ def test_casimir_report_refuses_a_window_without_weights():
         verify_tensor(Fraction(1, 2), 0, 1, (3, 1))
 
 
+@pytest.mark.parametrize("window", [(0.5, 3), (1, 3.0), (Fraction(1), 3), (True, 3), (-3, "3")])
+def test_window_bounds_must_be_ints(window):
+    """(0.5, 3) once passed over a segment at 1.5, which is no K-weight."""
+    for run in (casimir_report, verify_tensor):
+        with pytest.raises(ValueError, match="window bounds must be ints"):
+            run(Fraction(1, 2), 0, 1, window)
+
+
 def test_a_report_without_breaks_is_one_segment_however_wide():
     lo, hi = default_window(10**6, 0, 1)
     report = casimir_report(10**6, 0, 1)

@@ -20,6 +20,8 @@ from sl2hc.core import (
     InfChar,
     KTypeFunction,
     PrincipalIrr,
+    Record,
+    VirtualModule,
     inf_char,
     ktype_function,
     principal_is_irreducible,
@@ -170,6 +172,33 @@ def test_construction_defaults_and_errors():
         PrincipalIrr(Fraction(-2), 1)
     with pytest.raises(ValueError, match="base parameter must lie in"):
         ClassPoint("ps", Fraction(2, 3), 0)
+
+
+def test_virtual_module_is_an_immutable_record():
+    pairs = [(FinDim(2), 1), (DiscreteSeries(1, 3), 2), (FinDim(0), 1), (FinDim(2), 0)]
+    x = VirtualModule(pairs)
+    built = [
+        VirtualModule(reversed(pairs)),
+        VirtualModule({FinDim(0): 1, DiscreteSeries(1, 3): 2, FinDim(2): 1}),
+        VirtualModule(x),
+        VirtualModule.of(FinDim(2), FinDim(0)) + VirtualModule([(DiscreteSeries(1, 3), 2)]),
+    ]
+    assert isinstance(x, Record) and not {"__eq__", "__hash__"} & vars(VirtualModule).keys()
+    for y in built:
+        assert y == x and hash(y) == hash(x)
+    for clone in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(clone) is VirtualModule and clone == x and hash(clone) == hash(x)
+    hash(x)
+    with pytest.raises(AttributeError):
+        x._entries = ()
+    with pytest.raises(AttributeError):
+        del x._entries
+    assert x.items() == ((FinDim(0), 1), (FinDim(2), 1), (DiscreteSeries(1, 3), 2))
+    assert VirtualModule() == VirtualModule.zero() and not VirtualModule()
+    assert repr(x) == "VirtualModule('2*D+(3) + V(2) + V(0)')"
+    assert repr(VirtualModule()) == "VirtualModule('0')"
+    with pytest.raises(TypeError, match="multiplicity must be an int, got True"):
+        VirtualModule([(FinDim(1), True)])
 
 
 def test_reprs_pinned():
