@@ -267,20 +267,12 @@ def _lattice_dot(p: dict):
     yield "}"
 
 
-def verify_tensor(*args):
-    """``oracle.verify_tensor``, imported on the first call; a module
-    attribute, so that it can be replaced."""
-    from .oracle import verify_tensor
-
-    return verify_tensor(*args)
-
-
 def _cmd_verify(args):
+    from .oracle import verdict_to_dict, verify_tensor
+
     verdict = verify_tensor(args.lam, args.eps, args.m, tuple(args.window) if args.window else None)
     payload = {"command": "verify"}
     if args.format == "json":  # the text line formats no per-weight spectrum
-        from .oracle import verdict_to_dict
-
         payload.update(verdict_to_dict(verdict))
     return payload, _line(_verify_line, verdict), verdict.passed
 
@@ -289,21 +281,14 @@ def _cmd_sweep(args):
     for flag, values in (("--lambdas", args.lambdas), ("--ms", args.ms)):
         if not values:
             raise ValueError(f"argument {flag}: expected at least one value")
+    from .oracle import _run_to_dict, verify_tensor
+
     combos = sorted((lam, eps, m) for lam in set(args.lambdas) for eps in (0, 1) for m in set(args.ms))
-    verdicts = [(combo, verify_tensor(*combo)) for combo in combos]
-    failures = sum(1 for _, v in verdicts if not v.passed)
+    verdicts = [verify_tensor(*combo) for combo in combos]
+    failures = sum(1 for v in verdicts if not v.passed)
     payload = {
         "command": "sweep",
-        "results": [
-            {
-                "lambda": format_scalar(lam),
-                "eps": eps,
-                "m": m,
-                "window": list(v.window),
-                "verdict": "PASS" if v.passed else "FAIL",
-            }
-            for (lam, eps, m), v in verdicts
-        ],
+        "results": [{**_run_to_dict(v), "verdict": "PASS" if v.passed else "FAIL"} for v in verdicts],
         "count": len(verdicts),
         "failures": failures,
         "passed": failures == 0,
@@ -312,8 +297,8 @@ def _cmd_sweep(args):
 
 
 def _sweep_lines(verdicts: list, failures: int):
-    for (lam, eps, m), v in verdicts:
-        yield f"lam={format_scalar(lam)} eps={eps} m={m}: {_verify_line(v)}"
+    for v in verdicts:
+        yield f"lam={format_scalar(v.lam)} eps={v.eps} m={v.m}: {_verify_line(v)}"
     if failures:
         yield f"SWEEP FAIL ({failures} of {len(verdicts)} verifications failed)"
     else:

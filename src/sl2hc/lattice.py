@@ -119,18 +119,24 @@ def reduce_to_base(lam: Scalar) -> Fraction:
     return frac if frac <= Fraction(1, 2) else 1 - frac
 
 
-def ps_class_point(lam: Scalar, eps: int) -> ClassPoint:
-    """Class point of an irreducible principal series parameter."""
+def _ps_point_and_shift(lam: Scalar, eps: int) -> tuple:
+    """(class point, signed shift j) of an irreducible principal series:
+    lam0 + j is lam or -lam, and eps0 + j has the parity eps.  Off a
+    collapsed base just one j is an integer, and it fixes eps0; over a
+    collapsed base eps0 reads as 0, and where both integers have the parity
+    eps (base 0) the larger is taken."""
     lam = PrincipalIrr(lam, eps).lam  # refuses a bad parity or a reducible parameter
     lam0 = reduce_to_base(lam)
+    shifts = [j for j in (lam - lam0, -lam - lam0) if is_integer(j)]
     if is_integer(2 * lam0):
-        return ClassPoint("ps", lam0, None)
-    if is_integer(lam0 - lam):
-        shift = lam0 - lam
-    else:
-        shift = lam0 + lam  # reach lam0 from the dual parameter -lam
-    assert is_integer(shift)
-    return ClassPoint("ps", lam0, (eps + int(shift)) % 2)
+        return ClassPoint("ps", lam0, None), max(j for j in shifts if j % 2 == eps)
+    (j,) = shifts
+    return ClassPoint("ps", lam0, int(eps - j) % 2), j
+
+
+def ps_class_point(lam: Scalar, eps: int) -> ClassPoint:
+    """Class point of an irreducible principal series parameter."""
+    return _ps_point_and_shift(lam, eps)[0]
 
 
 def ps_class_equal(lam: Scalar, eps: int, lam2: Scalar, eps2: int) -> bool:
@@ -298,13 +304,5 @@ def classify_irreducible(x: IrreducibleClass) -> tuple:
     """
     if as_cone(x) is not ASCone.FULL_LINE:
         return (class_closure(x), inf_char(x).value)
-    point = ps_class_point(x.lam, x.eps)
-    lam0 = point.lam0
-    eps0 = 0 if point.eps0 is None else point.eps0
-    # lam0 + j is +-lam for both candidates; the parity picks the members
-    matches = [
-        j for j in (x.lam - lam0, -x.lam - lam0) if is_integer(j) and (eps0 + j) % 2 == x.eps
-    ]
-    if not matches:
-        raise AssertionError("base point failed to reach its own class member")
-    return (frozenset({point}), max(matches))
+    point, j = _ps_point_and_shift(x.lam, x.eps)
+    return (frozenset({point}), j)

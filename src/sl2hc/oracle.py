@@ -400,13 +400,12 @@ def report_to_dict(r: CasimirReport) -> dict:
 
 
 def verdict_to_dict(v: VerificationVerdict) -> dict:
+    """``report_to_dict``, each entry with the prediction and the verdict added."""
     predicted = [{"value": format_scalar(val), "mult": mult} for val, mult in v.predicted]
+    report = report_to_dict(v)
     return {
-        **_run_to_dict(v),
-        "entries": [
-            {"k": k, "dim": v.m + 1, "spectrum": spectrum, "predicted": predicted, "match": v.passed}
-            for k, spectrum in _weights(v.segments)
-        ],
+        **report,
+        "entries": [{**entry, "predicted": predicted, "match": v.passed} for entry in report["entries"]],
         "blocks": [
             {
                 "casimir": format_scalar(b.casimir),

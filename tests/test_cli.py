@@ -5,7 +5,6 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-import sl2hc.cli as cli
 from sl2hc.cli import main
 from sl2hc.core import (
     DiscreteSeries,
@@ -86,7 +85,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
         block_observations=(),
         passed=False,
     )
-    monkeypatch.setattr(cli, "verify_tensor", lambda *a, **kw: fake)
+    monkeypatch.setattr("sl2hc.oracle.verify_tensor", lambda *a, **kw: fake)
     code, out, _ = run(capsys, "verify", "1/2", "0", "0")
     assert code == 3
     assert out == "FAIL (k=3: predicted 1/4:1; observed 9/4:1)\n"
@@ -107,7 +106,7 @@ def test_text_verify_and_sweep_render_no_json_payload(capsys, monkeypatch):
 def test_json_verify_failure_exit_code(capsys, monkeypatch):
     segment = Segment(3, 3, ((Fraction(9, 4), 1, (1,)),))
     fake = VerificationVerdict(Fraction(1, 2), 0, 0, (-3, 3), (segment,), ((Fraction(1, 4), 1),), (), False)
-    monkeypatch.setattr(cli, "verify_tensor", lambda *a, **kw: fake)
+    monkeypatch.setattr("sl2hc.oracle.verify_tensor", lambda *a, **kw: fake)
     code, out, _ = run(capsys, "--format", "json", "verify", "1/2", "0", "0")
     assert code == 3
     payload = json.loads(out)
@@ -122,6 +121,31 @@ def test_json_verify_failure_exit_code(capsys, monkeypatch):
             "match": False,
         }
     ]
+
+
+def test_sweep_failure_exit_code_and_rows(capsys, monkeypatch):
+    from sl2hc.oracle import verify_tensor as real
+
+    def fail_eps_1(lam, eps, m):
+        v = real(lam, eps, m)
+        if eps == 0:
+            return v
+        return VerificationVerdict(v.lam, v.eps, v.m, v.window, v.segments, ((Fraction(99), 1),), (), False)
+
+    monkeypatch.setattr("sl2hc.oracle.verify_tensor", fail_eps_1)
+    code, out, _ = run(capsys, "sweep", "--lambdas=1/2", "--ms=0")
+    assert code == 3
+    assert out.splitlines() == [
+        "lam=1/2 eps=0 m=0: PASS (k in [-8,8]: spectra match)",
+        "lam=1/2 eps=1 m=0: FAIL (k=-7: predicted 99:1; observed 1/4:1)",
+        "SWEEP FAIL (1 of 2 verifications failed)",
+    ]
+    code, out, _ = run(capsys, "--format", "json", "sweep", "--lambdas=1/2", "--ms=0")
+    assert code == 3
+    payload = json.loads(out)
+    assert [row["verdict"] for row in payload["results"]] == ["PASS", "FAIL"]
+    assert payload["results"][1] == {"lambda": "1/2", "eps": 1, "m": 0, "window": [-7, 7], "verdict": "FAIL"}
+    assert (payload["count"], payload["failures"], payload["passed"]) == (2, 1, False)
 
 
 def test_tensor_text(capsys):
@@ -331,7 +355,7 @@ def test_unexpected_eigenvalue_exits_3(capsys, monkeypatch):
     def raise_unexpected(*args, **kwargs):
         raise UnexpectedEigenvalueError(message)
 
-    monkeypatch.setattr(cli, "verify_tensor", raise_unexpected)
+    monkeypatch.setattr("sl2hc.oracle.verify_tensor", raise_unexpected)
     for argv in (
         ("verify", "1/2", "0", "0"),
         ("--format", "json", "verify", "1/2", "0", "0"),

@@ -244,6 +244,7 @@ CLASS_ARGVS = {
     "classify": [["classify", c] for c in V_AND_D + PRINCIPAL],
     "series": [["series", "--", lam, eps] for lam in PARAMETERS for eps in "01"],
     "verify": [["verify", "--", str(p), eps, str(m)] for p in range(-4, 5) for eps in "01" for m in range(5, 13)],
+    "sweep": [["sweep", "--lambdas=-7/3,-2,0,1/2,3", "--ms=0,1,2,3"], ["sweep", "--lambdas=1,5/2", "--ms=4"]],
 }
 
 # sha256 over "<argv>: <exit code>\n<stdout>" for `sl2hc --format FMT <argv>` over
@@ -260,6 +261,9 @@ CLASS_SHA256 = {
     ("series", "text"): "a9a18180002f32597bd2d57307800c3f4484b8e4071e215c69be316596bf772e",
     ("series", "json"): "600b16f078e8cbcd1852e9f8a9778290f17af19db479aaa1297028c4a4f1f19e",
     ("verify", "json"): "b0c81485b144450d849bd2c8a8114e292860548b8355a869b70f65b5664f7316",
+    # recorded before sweep took its rows' fields from the verdicts
+    ("sweep", "text"): "c3ab7693770d6e55ef310a07747283bec53cdaafa32998cf06494182e9ad9b31",
+    ("sweep", "json"): "32bb67780d66dd4490843ab0dbed199dc218b51d9a7056c84973f946f3d95e28",
 }
 
 

@@ -150,7 +150,12 @@ def test_lattice_commands_load_no_oracle(argv):
 
 
 def test_oracle_commands_load_the_oracle():
-    assert {"sl2hc.oracle", "sl2hc.linalg"} <= _loaded("verify", "1/2", "0", "1")
+    for argv in (
+        ("verify", "1/2", "0", "1"),
+        ("--format", "json", "verify", "1/2", "0", "1"),
+        ("sweep", "--lambdas=1/2", "--ms=0"),
+    ):
+        assert {"sl2hc.oracle", "sl2hc.linalg"} <= _loaded(*argv), argv
 
 
 def test_import_sl2hc_loads_no_submodule():
