@@ -403,9 +403,10 @@ def verdict_to_dict(v: VerificationVerdict) -> dict:
     """``report_to_dict``, each entry with the prediction and the verdict added."""
     predicted = [{"value": format_scalar(val), "mult": mult} for val, mult in v.predicted]
     report = report_to_dict(v)
+    for entry in report["entries"]:  # each weight's own dict, extended in place
+        entry.update(predicted=predicted, match=v.passed)
     return {
         **report,
-        "entries": [{**entry, "predicted": predicted, "match": v.passed} for entry in report["entries"]],
         "blocks": [
             {
                 "casimir": format_scalar(b.casimir),
