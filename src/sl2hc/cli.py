@@ -34,6 +34,7 @@ from .core import (
     format_virtual_module,
     ladder,
     parse_class,
+    parse_int,
 )
 from .tensor import (
     clebsch_gordan,
@@ -53,25 +54,25 @@ MAX_LATTICE_PS_POINTS = 12  # 20,480 sets; each further point doubles the output
 
 def _checked(check, read=str, listed=False):
     """An argparse type: ``check(read(text))``, or with ``listed`` the tuple
-    over the nonblank comma-separated tokens.  A ValueError of ``read`` is
-    argparse's "invalid <read> value"; one of ``check``, the library's own
-    rule, becomes the argument's error with the library's message."""
+    over the nonblank comma-separated tokens.  A ValueError of ``read`` or
+    ``check``, the library's own rules, becomes the argument's error with the
+    library's message."""
 
     def convert(text: str):
-        values = [read(tok.strip()) for tok in text.split(",") if tok.strip()] if listed else [read(text)]
         try:
+            values = [read(tok.strip()) for tok in text.split(",") if tok.strip()] if listed else [read(text)]
             values = tuple(map(check, values))
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         return values if listed else values[0]
 
-    convert.__name__ = read.__name__
     return convert
 
 
 _scalar_arg = _checked(as_scalar)
-_parity_arg = _checked(check_parity, int)
-_weight_arg = _checked(check_highest_weight, int)
+_int_arg = _checked(parse_int)
+_parity_arg = _checked(check_parity, parse_int)
+_weight_arg = _checked(check_highest_weight, parse_int)
 _class_arg = _checked(parse_class)
 
 
@@ -352,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ktypes", help="K-type multiplicities over a window")
     p.add_argument("cls", type=_class_arg, metavar="class")
-    p.add_argument("--window", type=int, nargs=2, metavar=("A", "B"), required=True)
+    p.add_argument("--window", type=_int_arg, nargs=2, metavar=("A", "B"), required=True)
     p.set_defaults(func=_cmd_ktypes)
 
     p = sub.add_parser("generate", help="thick tensor-submodule generated by classes")
@@ -378,12 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("lam", type=_scalar_arg)
     p.add_argument("eps", type=_parity_arg)
     p.add_argument("m", type=_weight_arg)
-    p.add_argument("--window", type=int, nargs=2, metavar=("A", "B"))
+    p.add_argument("--window", type=_int_arg, nargs=2, metavar=("A", "B"))
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sweep", help="verify a whole parameter grid")
     p.add_argument("--lambdas", type=_checked(as_scalar, listed=True), required=True)
-    p.add_argument("--ms", type=_checked(check_highest_weight, int, listed=True), required=True)
+    p.add_argument("--ms", type=_checked(check_highest_weight, parse_int, listed=True), required=True)
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -111,17 +111,30 @@ def _is_int(n) -> bool:
     return isinstance(n, int) and not isinstance(n, bool)
 
 
+_INT = "-?[0-9]+"  # the numeral of every text reader: no '+', '_', '.', 'e' or non-ASCII digit
+_RATIONAL = _INT + "(?:/[0-9]+)?"
+
+
+def parse_int(text: str) -> int:
+    """The int of an integer numeral, blanks around it stripped."""
+    if not re.fullmatch(_INT, text.strip()):
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def as_scalar(value: int | str | Fraction) -> Fraction:
-    """Coerce to an exact rational; accepts ints, Fractions and 'p/q' strings."""
+    """Coerce to an exact rational; accepts ints, Fractions and 'p' or 'p/q' numerals."""
     if isinstance(value, Fraction):
         return value
     if _is_int(value):
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value.strip())
+            if re.fullmatch(_RATIONAL, value.strip()):
+                return Fraction(value)
         except ZeroDivisionError:
-            raise ValueError(f"cannot parse rational {value!r}") from None
+            pass
+        raise ValueError(f"cannot parse rational {value!r}")
     raise TypeError(f"cannot interpret {value!r} as an exact scalar")
 
 
@@ -270,7 +283,7 @@ _KINDS = {
         sort_key=lambda x: (0, Fraction(x.m), 0),
         family=1,
         text=lambda x: f"V({x.m})",
-        pattern=re.compile(r"V\((\d+)\)"),
+        pattern=re.compile(r"V\(([0-9]+)\)"),
         parse=lambda m: FinDim(int(m)),
         tensor=lambda x, m: _tensor_module().clebsch_gordan(x.m, m),
     ),
@@ -279,7 +292,7 @@ _KINDS = {
         sort_key=lambda x: (1, Fraction(x.l), 0 if x.sign > 0 else 1),
         family=0,
         text=lambda x: f"D{'+' if x.sign > 0 else '-'}({x.l})",
-        pattern=re.compile(r"D([+-])\((\d+)\)"),
+        pattern=re.compile(r"D([+-])\(([0-9]+)\)"),
         parse=lambda sign, l: DiscreteSeries(1 if sign == "+" else -1, int(l)),
         tensor=lambda x, m: _tensor_module().ds_tensor(x.sign, x.l, m),
     ),
@@ -288,7 +301,7 @@ _KINDS = {
         sort_key=lambda x: (2, x.lam, x.eps),
         family=2,
         text=lambda x: f"I({format_scalar(x.lam)},{x.eps})",
-        pattern=re.compile(r"I\((-?\d+(?:/\d+)?),\s*(\d+)\)"),
+        pattern=re.compile(rf"I\(({_RATIONAL}),\s*([0-9]+)\)"),
         parse=lambda lam, eps: PrincipalIrr(as_scalar(lam), int(eps)),
         tensor=lambda x, m: _tensor_module().decomposition_semisimplification(
             _tensor_module().ps_tensor(x.lam, x.eps, m)

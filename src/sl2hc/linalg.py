@@ -7,9 +7,9 @@ The oracle's matrices are tridiagonal and are held as three integer
 diagonals ``(diag, upper, lower)``: ``upper[i]`` is entry (i, i+1) and
 ``lower[i]`` entry (i+1, i).  Production uses the routines for that form:
 the continuant recurrence for the characteristic polynomial, and Jordan
-block sizes that need no rank when one off-diagonal has no zero, and
-otherwise come from one rank of sparse rows by integer cross-elimination,
-or from the dense rank sequence when that rank leaves the partition open.
+block sizes at multiplicity 1 or 2, which need nothing when one
+off-diagonal has no zero, and otherwise one exact nullity, taken by
+following a null vector down the three-term recurrence.
 
 Dense matrices are lists of row lists.  The dense routines (Bareiss rank,
 Faddeev-LeVerrier characteristic polynomial, whose divisions are exact over
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import gcd, lcm
+from math import lcm
 
 Matrix = list
 
@@ -196,69 +196,51 @@ def tridiagonal_char_poly(diag: list, upper: list, lower: list) -> list:
 
 
 def tridiagonal_jordan_block_sizes(diag: list, upper: list, lower: list, c, mult: int) -> tuple:
-    """Jordan block sizes (descending) of an integer tridiagonal matrix at eigenvalue ``c``.
+    """Jordan block sizes (descending) of an integer tridiagonal matrix T at
+    an eigenvalue ``c`` of multiplicity 1 or 2, the most the oracle meets.
 
-    When every ``upper`` entry is nonzero, deleting the last row and first
-    column of T - cI leaves a triangular minor with diagonal ``upper``; when
-    every ``lower`` entry is, deleting the first row and last column leaves
-    one with diagonal ``lower``.  Either way rank(T - cI) = n - 1: one block
-    of size ``mult``, and no rank is computed.  Otherwise the number of
-    blocks g = n - rank(T - cI) is computed on sparse rows; it forces the
-    partition when g is 1, mult - 1 or mult.  For any other g the dense
-    ``jordan_block_sizes`` takes the rank sequence of (T - cI)^j.
+    When ``upper`` or ``lower`` has no zero, deleting the last row and first
+    column of T - cI, or its first row and last column, leaves a triangular
+    minor with that diagonal, so rank(T - cI) = n - 1: one block, and no
+    nullity is taken.  Otherwise the nullity, 1 or 2, gives (2,) or (1, 1).
+    Any other multiplicity or nullity is an ``AssertionError``.
     """
+    if mult not in (1, 2):
+        raise AssertionError(f"Jordan sizes are taken at multiplicity 1 or 2, not {mult}")
     if mult == 1 or all(upper) or all(lower):
         return (mult,)
-    n = len(diag)
-    b = []
-    for i in range(n):
-        row = {i: diag[i] - c}
-        if i:
-            row[i - 1] = lower[i - 1]
-        if i + 1 < n:
-            row[i + 1] = upper[i]
-        b.append({j: v for j, v in row.items() if v})
-    g = n - sparse_rank(b)
-    if not 1 <= g <= mult:
-        raise AssertionError(f"{g} Jordan blocks at an eigenvalue of multiplicity {mult}")
-    if g == 1:
-        return (mult,)
-    if g >= mult - 1:  # g parts of mult: mult - g of size 2, the rest of size 1
-        return (2,) * (mult - g) + (1,) * (2 * g - mult)
-    return jordan_block_sizes([[row.get(j, 0) for j in range(n)] for row in b], 0, mult)
+    g = tridiagonal_nullity(diag, upper, lower, c)
+    if g not in (1, 2):
+        raise AssertionError(f"{g} Jordan blocks at an eigenvalue of multiplicity 2")
+    return (2,) if g == 1 else (1, 1)
 
 
-def sparse_rank(rows: list) -> int:
-    """Rank of an integer matrix given as sparse rows ``{column: value}``.
+def tridiagonal_nullity(diag: list, upper: list, lower: list, c) -> int:
+    """dim ker(T - cI) of an integer tridiagonal matrix T.
 
-    Integer cross-elimination over rows bucketed by leading column: the
-    shortest row of the leftmost bucket becomes a pivot and clears its column
-    from the other rows of that bucket, which are the only rows with a
-    nonzero there.  Each updated row is divided by the gcd of its entries and
-    moves to the bucket of its new leading column.  Every step keeps the rank
-    of the rows left plus the pivots found.
+    A null vector x is followed down the rows, its last two entries kept as
+    integer forms {parameter: coefficient}.  x[0] is a parameter, and so is
+    x[i+1] after a zero ``upper[i]``; otherwise row i fixes x[i+1], and the
+    vector is scaled by ``upper[i]`` to stay integral.  A row that fixes
+    nothing (after a zero ``upper[i]``, and the last row) is a condition;
+    a nonzero one eliminates one parameter.  The parameters left count.
     """
-    by_lead: dict = {}
-    for row in rows:
-        if row:
-            by_lead.setdefault(min(row), []).append(row)
-    found = 0
-    while by_lead:
-        col = min(by_lead)
-        bucket = by_lead.pop(col)
-        pivot = min(bucket, key=len)
-        pv = pivot[col]
-        found += 1
-        for row in bucket:
-            if row is pivot:
-                continue
-            x = row[col]
-            merged = {}
-            for j in row.keys() | pivot.keys():
-                v = pv * row.get(j, 0) - x * pivot.get(j, 0)
-                if v:
-                    merged[j] = v
-            if merged:
-                g = gcd(*merged.values())
-                by_lead.setdefault(min(merged), []).append({j: v // g for j, v in merged.items()})
-    return found
+    free, prev, cur = 0, {}, {}
+    for i, d in enumerate(diag):
+        if i == 0 or not upper[i - 1]:
+            prev, cur, free = cur, {i: 1}, free + 1
+        row = _form(lower[i - 1] if i else 0, prev, d - c, cur)
+        if i + 1 < len(diag) and upper[i]:
+            prev, cur = _form(upper[i], cur, 0, {}), _form(-1, row, 0, {})
+        elif row:
+            p = next(iter(row))
+            cur, free = _form(row[p], cur, -cur.get(p, 0), row), free - 1
+    return free
+
+
+def _form(a: int, x: dict, b: int, y: dict) -> dict:
+    """a*x + b*y for integer forms {parameter: coefficient}, zeros dropped."""
+    out = {p: a * v for p, v in x.items()}
+    for p, v in y.items():
+        out[p] = out.get(p, 0) + b * v
+    return {p: v for p, v in out.items() if v}

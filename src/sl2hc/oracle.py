@@ -16,10 +16,11 @@ decomposition formulas.
 On the basis (a, b) of a weight space, ordered by b ascending, that matrix
 is tridiagonal.  ``casimir_report`` builds its three diagonals directly as
 integers under one scale (``_diagonals``), scales the candidate
-eigenvalues to integers once, and uses the continuant recurrence and the
-Jordan routines of ``linalg``: no ``Fraction`` is touched per K-weight.  Two
-sl(2) identities, which use only the ladder coefficients, spare most of the
-weights:
+eigenvalues to integers once, and uses the continuant recurrence of
+``linalg``: no ``Fraction`` is touched per K-weight.  No value has
+multiplicity above 2 ((lam+m-2j)^2 repeats only for j + j' = lam + m), so
+Jordan sizes take at most one nullity.  Two sl(2) identities, which use
+only the ladder coefficients, spare most of the weights:
 
 - E'F' - F'E' = H' on each factor, hence on the product, so on W_k
   F'E' = (Omega - (k+1)^2)/4, and on W_{k+2} E'F' is the same expression.
@@ -305,7 +306,7 @@ def _spectrum(diag: list, upper: list, lower: list, roots: list) -> tuple:
     """The ``(value, mult, Jordan sizes)`` of one weight space's integer
     diagonals with the ``(value, scaled value, mult)`` roots of any weight's
     characteristic polynomial (the first identity of the module docstring);
-    Jordan sizes are taken only at multiplicity 2 or more."""
+    Jordan sizes are taken only at multiplicity 2, the most any value has."""
     return tuple(
         (c, mult, (1,) if mult == 1 else tridiagonal_jordan_block_sizes(diag, upper, lower, cs, mult))
         for c, cs, mult in roots

@@ -333,6 +333,28 @@ USAGE_ERRORS = [
     ("cg", "1", "1", "--bogus"),
     ("ktypes", "V(2)", "--window", "a", "2"),
 ]
+# Numerals outside the one rule, -?[0-9]+ for an int and -?[0-9]+(/[0-9]+)?
+# for a rational; each argv outside a class once ran.
+USAGE_ERRORS += [
+    ("cg", "\u0663", "1"),
+    ("cg", "1_0", "0"),
+    ("cg", "+1", "0"),
+    ("series", "0.5", "0"),
+    ("series", "+1/2", "0"),
+    ("series", "1/2", "+1"),
+    ("series", "1/\u0663", "0"),
+    ("verify", "1e3", "0", "1"),
+    ("verify", "--window", "0", "1_0", "--", "0", "1", "1"),
+    ("ktypes", "V(2)", "--window", "1_0", "12"),
+    ("tensor", "I(0.5,0)", "1"),
+    ("tensor", "I(+1,0)", "1"),
+    ("tensor", "V(\u0663)", "1"),
+    ("tensor", "D+(\u0663)", "1"),
+    ("tensor", "I(1,\u0660)", "1"),
+    ("sweep", "--lambdas", "0.5", "--ms", "1"),
+    ("sweep", "--lambdas", "0", "--ms", "1_0"),
+    ("lattice", "--lambda-keys", "1e3"),
+]
 
 
 def test_every_usage_error_is_one_line(capsys):
@@ -342,6 +364,12 @@ def test_every_usage_error_is_one_line(capsys):
             assert (code, out) == (2, ""), argv
             assert len(err.splitlines()) == 1 and err.endswith("\n"), (argv, err)
             assert "usage:" not in err, argv
+
+
+def test_blanks_around_a_numeral_are_stripped(capsys):
+    assert run(capsys, "cg", " 3", "1 ") == run(capsys, "cg", "3", "1")
+    assert run(capsys, "series", " -7/3 ", "0") == run(capsys, "series", "--", "-7/3", "0")
+    assert run(capsys, "ktypes", "V(2)", "--window", "-2", " 4") == run(capsys, "ktypes", "V(2)", "--window", "-2", "4")
 
 
 def test_help_exits_zero(capsys):

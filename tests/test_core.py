@@ -25,6 +25,7 @@ from sl2hc.core import (
     ktype_function,
     module_ktype_function,
     parse_class,
+    parse_int,
     principal_is_irreducible,
     principal_iso_equal,
 )
@@ -40,6 +41,24 @@ def test_as_scalar_accepts_ints_strings_fractions():
         as_scalar("one half")
     with pytest.raises((TypeError, ValueError)):
         as_scalar(0.5)
+    assert as_scalar(" -7/3 ") == Fraction(-7, 3)
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e3", "+1", "1/+2", "1_0", "\u0663", "1/\u0663", "1/0", "1/", "/2", ""])
+def test_as_scalar_reads_only_ascii_numerals(text):
+    with pytest.raises(ValueError, match="cannot parse rational"):
+        as_scalar(text)
+
+
+def test_parse_int_and_class_tokens_read_only_ascii_numerals():
+    assert parse_int(" -12 ") == -12
+    for text in ("+1", "1_0", "\u0663", "1.0", "1e3", "", "-"):
+        with pytest.raises(ValueError, match="invalid int value"):
+            parse_int(text)
+    assert parse_class("I(-7/3, 1)") == PrincipalIrr(Fraction(-7, 3), 1)
+    for text in ("V(\u0663)", "D-(1_0)", "I(0.5,0)", "I(+1,0)", "I(1,\u0660)", "V(+2)"):
+        with pytest.raises(ValueError, match="cannot parse class"):
+            parse_class(text)
 
 
 def test_a_bool_is_not_an_int_anywhere():

@@ -14,9 +14,9 @@ from sl2hc.linalg import (
     mat_sub_scalar,
     rank,
     root_multiplicity,
-    sparse_rank,
     tridiagonal_char_poly,
     tridiagonal_jordan_block_sizes,
+    tridiagonal_nullity,
 )
 
 
@@ -105,13 +105,6 @@ def test_char_poly_trace_det(rows):
     assert poly[2] == rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
 
 
-@given(st.lists(st.lists(st.integers(min_value=-3, max_value=3), min_size=4, max_size=4), min_size=1, max_size=5))
-@settings(max_examples=80)
-def test_sparse_rank_matches_bareiss(rows):
-    sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
-    assert sparse_rank(sparse) == rank(rows)
-
-
 def _dense(diag, upper, lower):
     n = len(diag)
     dense = [[0] * n for _ in range(n)]
@@ -120,6 +113,42 @@ def _dense(diag, upper, lower):
         if i + 1 < n:
             dense[i][i + 1], dense[i + 1][i] = upper[i], lower[i]
     return dense
+
+
+def _check_jordan_at_every_root(diag, upper, lower, poly):
+    """At every root the nullity is the number of dense Jordan blocks, and
+    at multiplicity 1 or 2 the tridiagonal sizes are the dense ones."""
+    dense = _dense(diag, upper, lower)
+    for c in set(diag):
+        mult, _ = root_multiplicity(poly, c)
+        if mult:
+            sizes = jordan_block_sizes(dense, c, mult)
+            assert tridiagonal_nullity(diag, upper, lower, c) == len(sizes)
+            if mult <= 2:
+                assert tridiagonal_jordan_block_sizes(diag, upper, lower, c, mult) == sizes
+
+
+@st.composite
+def _zeroed_tridiagonals(draw):
+    """Tridiagonals of size 1..9 with frequent zeros on both off-diagonals, and a shift c."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    entries = st.integers(min_value=-3, max_value=3)
+    sparse = st.one_of(st.just(0), entries)
+    diag = draw(st.lists(entries, min_size=n, max_size=n))
+    upper = draw(st.lists(sparse, min_size=n - 1, max_size=n - 1))
+    lower = draw(st.lists(sparse, min_size=n - 1, max_size=n - 1))
+    return diag, upper, lower, draw(st.integers(min_value=-2, max_value=2))
+
+
+@given(_zeroed_tridiagonals())
+@example(([0, 0, 0], [0, 0], [0, 0], 0))
+@example(([1, 1], [0], [0], 0))
+@example(([2], [], [], 2))
+@settings(max_examples=300)
+def test_tridiagonal_nullity_matches_bareiss(case):
+    diag, upper, lower, c = case
+    shifted = _dense([d - c for d in diag], upper, lower)
+    assert tridiagonal_nullity(diag, upper, lower, c) == len(diag) - rank(shifted)
 
 
 @given(
@@ -134,13 +163,9 @@ def _dense(diag, upper, lower):
 @settings(max_examples=80)
 def test_tridiagonal_routines_match_dense(diagonals):
     diag, upper, lower = diagonals
-    dense = _dense(diag, upper, lower)
     poly = tridiagonal_char_poly(diag, upper, lower)
-    assert poly == char_poly(dense)
-    for c in set(diag):
-        mult, _ = root_multiplicity(poly, c)
-        if mult:
-            assert tridiagonal_jordan_block_sizes(diag, upper, lower, c, mult) == jordan_block_sizes(dense, c, mult)
+    assert poly == char_poly(_dense(diag, upper, lower))
+    _check_jordan_at_every_root(diag, upper, lower, poly)
 
 
 @st.composite
@@ -156,21 +181,22 @@ def _reduced_tridiagonals(draw):
     return diag, upper, lower
 
 
-# (diag, upper, lower) at eigenvalue 0 -> Jordan sizes, and sparse_rank calls
+# (diag, upper, lower) at eigenvalue 0 -> Jordan sizes, and the nullities
+# ``tridiagonal_jordan_block_sizes`` takes at multiplicity 1 or 2
 JORDAN_CASES = {
     "upper-full": (([0, 0], [1], [0]), (2,), 0),
     "lower-full": (([0, 0, 1], [0, 0], [1, 1]), (2,), 0),
     "J2": (([0, 0, 1], [1, 0], [0, 0]), (2,), 1),
     "J1+J1": (([0, 0], [0], [0]), (1, 1), 1),
-    "J3": (([0, 0, 0, 1], [1, 1, 0], [0, 0, 0]), (3,), 1),
-    "J2+J1": (([0, 0, 0], [1, 0], [0, 0]), (2, 1), 1),
-    "J1+J1+J1": (([0, 0, 0], [0, 0], [0, 0]), (1, 1, 1), 1),
-    "J2+J2": (([0, 0, 0, 0], [1, 0, 1], [0, 0, 0]), (2, 2), 1),
-    "J3+J1": (([0, 0, 0, 0], [1, 1, 0], [0, 0, 0]), (3, 1), 1),
-    "J3+J2": (([0] * 5, [1, 1, 0, 1], [0] * 4), (3, 2), 1),
-    "J4+J1": (([0] * 5, [1, 1, 1, 0], [0] * 4), (4, 1), 1),
-    "J2+J2+J1": (([0] * 5, [1, 0, 1, 0], [0] * 4), (2, 2, 1), 1),
-    "J3+J1+J1": (([0] * 5, [1, 1, 0, 0], [0] * 4), (3, 1, 1), 1),
+    "J3": (([0, 0, 0, 1], [1, 1, 0], [0, 0, 0]), (3,), None),
+    "J2+J1": (([0, 0, 0], [1, 0], [0, 0]), (2, 1), None),
+    "J1+J1+J1": (([0, 0, 0], [0, 0], [0, 0]), (1, 1, 1), None),
+    "J2+J2": (([0, 0, 0, 0], [1, 0, 1], [0, 0, 0]), (2, 2), None),
+    "J3+J1": (([0, 0, 0, 0], [1, 1, 0], [0, 0, 0]), (3, 1), None),
+    "J3+J2": (([0] * 5, [1, 1, 0, 1], [0] * 4), (3, 2), None),
+    "J4+J1": (([0] * 5, [1, 1, 1, 0], [0] * 4), (4, 1), None),
+    "J2+J2+J1": (([0] * 5, [1, 0, 1, 0], [0] * 4), (2, 2, 1), None),
+    "J3+J1+J1": (([0] * 5, [1, 1, 0, 0], [0] * 4), (3, 1, 1), None),
 }
 
 
@@ -185,34 +211,33 @@ JORDAN_CASES = {
 @settings(max_examples=150)
 def test_reduced_tridiagonal_jordan_sizes_match_dense(diagonals):
     diag, upper, lower = diagonals
-    dense = _dense(diag, upper, lower)
     poly = tridiagonal_char_poly(diag, upper, lower)
-    mults = {c: root_multiplicity(poly, c)[0] for c in set(diag)}
-    assume(max(mults.values()) >= 2)
-    for c, mult in mults.items():
-        if mult:
-            assert tridiagonal_jordan_block_sizes(diag, upper, lower, c, mult) == jordan_block_sizes(dense, c, mult)
+    assume(max(root_multiplicity(poly, c)[0] for c in set(diag)) >= 2)
+    _check_jordan_at_every_root(diag, upper, lower, poly)
 
 
 @pytest.mark.parametrize("label", sorted(JORDAN_CASES))
-def test_tridiagonal_jordan_sizes_take_a_rank_only_where_the_partition_is_open(monkeypatch, label):
-    """No rank when an off-diagonal has no zero, and otherwise one sparse
-    rank: it gives the number of blocks g, which forces the partition except
-    for g = 2 at multiplicity 4, the first case with two partitions into g
-    parts, where the dense rank sequence decides.  At multiplicity 5 both
-    g = 2 and g = 3 leave two partitions open, each pair told apart here."""
-    (diag, upper, lower), sizes, ranks = JORDAN_CASES[label]
+def test_tridiagonal_jordan_sizes_take_a_nullity_only_where_an_off_diagonal_has_a_zero(monkeypatch, label):
+    """No nullity when an off-diagonal has no zero, and otherwise one, which
+    tells (2,) from (1, 1).  The oracle meets no multiplicity above 2, so
+    there the routine refuses; the nullity still counts the dense blocks."""
+    (diag, upper, lower), sizes, nullities = JORDAN_CASES[label]
     calls = []
 
-    def counting_sparse_rank(rows):
-        calls.append(rows)
-        return sparse_rank(rows)
+    def counting_nullity(*args):
+        calls.append(args)
+        return tridiagonal_nullity(*args)
 
-    monkeypatch.setattr(linalg, "sparse_rank", counting_sparse_rank)
+    monkeypatch.setattr(linalg, "tridiagonal_nullity", counting_nullity)
     mult, _ = root_multiplicity(tridiagonal_char_poly(diag, upper, lower), 0)
-    assert tridiagonal_jordan_block_sizes(diag, upper, lower, 0, mult) == sizes
-    assert len(calls) == ranks
     assert jordan_block_sizes(_dense(diag, upper, lower), 0, mult) == sizes
+    assert tridiagonal_nullity(diag, upper, lower, 0) == len(sizes)
+    if mult <= 2:
+        assert tridiagonal_jordan_block_sizes(diag, upper, lower, 0, mult) == sizes
+        assert len(calls) == nullities
+    else:
+        with pytest.raises(AssertionError):
+            tridiagonal_jordan_block_sizes(diag, upper, lower, 0, mult)
 
 
 def test_tridiagonal_jordan_sizes_refuse_a_wrong_multiplicity():

@@ -12,9 +12,9 @@ from sl2hc.linalg import (
     jordan_block_sizes,
     rank,
     root_multiplicity,
-    sparse_rank,
     tridiagonal_char_poly,
     tridiagonal_jordan_block_sizes,
+    tridiagonal_nullity,
 )
 from sl2hc.oracle import (
     BlockObservation,
@@ -239,29 +239,53 @@ def test_banded_oracle_takes_all_three_jordan_paths(monkeypatch):
 
     calls = []
 
-    def counting_sparse_rank(rows):
-        calls.append(rows)
-        return sparse_rank(rows)
+    def counting_nullity(*args):
+        calls.append(args)
+        return tridiagonal_nullity(*args)
 
-    monkeypatch.setattr(linalg, "sparse_rank", counting_sparse_rank)
+    monkeypatch.setattr(linalg, "tridiagonal_nullity", counting_nullity)
     # I(1, 0) is reducible: one ladder zero falls inside the k = -2 space of
-    # V(2), which leaves `lower` without a zero: one block and no rank
+    # V(2), which leaves `lower` without a zero: one block and no nullity
     diag, upper, lower = _diagonals(1, 1, 2, -2)
     assert not all(upper) and all(lower)
     candidates = eigenvalue_candidates(Fraction(1), 2)
     ((_, _, eigenvalues),) = _weights(casimir_report(1, 0, 2, (-2, -2)))
     assert eigenvalues == _dense_spectrum(_band_rows(diag, upper, lower), candidates)
     assert eigenvalues[0] == (Fraction(1), 2, (2,)) and calls == []
-    # both ladder zeros fall inside the k = 0 space: one rank decides
+    # both ladder zeros fall inside the k = 0 space: one nullity decides
     diag, upper, lower = _diagonals(1, 1, 2, 0)
     assert not all(upper) and not all(lower)
     ((_, _, eigenvalues),) = _weights(casimir_report(1, 0, 2, (0, 0)))
     assert eigenvalues == _dense_spectrum(_band_rows(diag, upper, lower), candidates)
     assert len(calls) == 1
-    # no Casimir value repeats more than twice, so only a matrix given
-    # directly reaches the dense rank sequence: J2 + J2 at 0, after one rank
-    assert tridiagonal_jordan_block_sizes([0, 0, 0, 0], [1, 0, 1], [0, 0, 0], 0, 4) == (2, 2)
-    assert len(calls) == 2
+    # no Casimir value repeats more than twice, so a higher multiplicity,
+    # given directly, is refused before any nullity: J2 + J2 at 0
+    with pytest.raises(AssertionError):
+        tridiagonal_jordan_block_sizes([0, 0, 0, 0], [1, 0, 1], [0, 0, 0], 0, 4)
+    assert len(calls) == 1
+
+
+def test_jordan_sizes_at_every_double_root_around_every_break_match_dense():
+    """At each break b and at b + 2, for m <= 10, every integral |lam| <= m+1
+    and both eps, the banded Jordan sizes at every double root are the dense
+    rank-sequence ones."""
+    start, checked = time.perf_counter(), 0
+    for m in range(11):
+        for lam in range(-m - 1, m + 2):
+            for eps in (0, 1):
+                poly = None
+                for b in sorted(_breaks(Fraction(lam), eps, m)):
+                    for k in (b, b + 2):
+                        band = _diagonals(lam, 1, m, k)
+                        poly = poly or tridiagonal_char_poly(*band)
+                        dense = _band_rows(*band)
+                        for c in eigenvalue_candidates(Fraction(lam), m):
+                            if root_multiplicity(poly, c.numerator)[0] == 2:
+                                sizes = jordan_block_sizes(dense, c.numerator, 2)
+                                assert tridiagonal_jordan_block_sizes(*band, c.numerator, 2) == sizes
+                                checked += 1
+    assert checked > 1000
+    assert time.perf_counter() - start < 1.5
 
 
 @st.composite
