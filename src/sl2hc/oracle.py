@@ -38,11 +38,13 @@ only the ladder coefficients, spare most of the weights:
   injective there, and E'_k maps G_k(c) isomorphically onto G_{k+2}(c).
   After a break at k only the Jordan sizes at (k+1)^2 are taken again.
 
-The generic construction applying Omega to free vectors of one Leibniz
-space (``casimir_matrix``; a single module is taken as its product with
-V(0)), reports over one-weight windows, which take each weight alone, and
-the dense Faddeev-LeVerrier and Bareiss routines are the reference the
-tests compare it against.
+The tests compare all this against a reference built from the definition.
+``casimir_matrix`` takes Omega on W_k of any ladder (x) V(m) (a single
+module is taken as its product with V(0)) from the weight-space maps
+E'_k and F'_{k+2} above, which ``_ladder_map`` reads off the ``Ladder``
+coefficients by the Leibniz rule, and ``linalg.mat_mul``; it never reads
+``_diagonals``.  Reports over one-weight windows, which take each weight
+alone, and the dense Faddeev-LeVerrier and Bareiss routines complete it.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from .core import (
     ladder,
     principal_is_irreducible,
 )
-from .linalg import root_multiplicity, tridiagonal_char_poly, tridiagonal_jordan_block_sizes
+from .linalg import mat_mul, root_multiplicity, tridiagonal_char_poly, tridiagonal_jordan_block_sizes
 from .tensor import LengthTwo, ps_tensor
 
 
@@ -82,73 +84,47 @@ def FinDimRealization(m: int) -> Ladder:
     return ladder(FinDim(m))
 
 
-class _TensorSpace:
-    """Free vectors {(a, b): coeff} over a pair of ladders (Leibniz action)."""
-
-    def __init__(self, left: Ladder, right: Ladder) -> None:
-        self.left = left
-        self.right = right
-
-    def basis_at(self, k: int) -> list:
-        lo, hi = self.right.lo, self.right.hi
-        if lo is None or hi is None:
-            raise ValueError("weight spaces are finite only with a finite-dimensional factor")
-        return [(k - b, b) for b in range(lo, hi + 1, 2) if self.left.has_weight(k - b)]
-
-    def apply(self, gen: str, vec: dict) -> dict:
-        out: dict = {}
-        for (a, b), c in vec.items():
-            if gen == "H":
-                _acc(out, (a, b), c * (a + b))
-            elif gen == "E":
-                _acc(out, (a + 2, b), c * self.left.e_coeff(a))
-                _acc(out, (a, b + 2), c * self.right.e_coeff(b))
-            else:
-                _acc(out, (a - 2, b), c * self.left.f_coeff(a))
-                _acc(out, (a, b - 2), c * self.right.f_coeff(b))
-        return out
+def _basis(a: Ladder, b: Ladder, k: int) -> list:
+    """The pairs (k - j, j) spanning the weight-k subspace W_k of a (x) b, j ascending."""
+    if b.lo is None or b.hi is None:
+        raise ValueError("weight spaces are finite only with a finite-dimensional factor")
+    return [(k - j, j) for j in range(b.lo, b.hi + 1, 2) if a.has_weight(k - j)]
 
 
-def _acc(out: dict, key, val: Fraction) -> None:
-    if not val:
-        return
-    new = out.get(key, 0) + val
-    if new:
-        out[key] = new
-    elif key in out:
-        del out[key]
-
-
-def _omega(space, vec: dict) -> dict:
-    """Apply Omega = H'^2 + 1 + 2 E'F' + 2 F'E'."""
-    out: dict = {}
-    for key, c in space.apply("H", space.apply("H", vec)).items():
-        _acc(out, key, c)
-    for key, c in vec.items():
-        _acc(out, key, c)
-    for key, c in space.apply("E", space.apply("F", vec)).items():
-        _acc(out, key, 2 * c)
-    for key, c in space.apply("F", space.apply("E", vec)).items():
-        _acc(out, key, 2 * c)
-    return out
+def _ladder_map(a: Ladder, b: Ladder, k: int, step: int) -> list:
+    """E' (step 2) or F' (step -2) from W_k to W_{k+step} of a (x) b by the
+    Leibniz rule g(x)1 + 1(x)g (columns are images)."""
+    coeff = Ladder.e_coeff if step == 2 else Ladder.f_coeff
+    rows = {pair: i for i, pair in enumerate(_basis(a, b, k + step))}
+    columns = _basis(a, b, k)
+    mat = [[Fraction(0)] * len(columns) for _ in rows]
+    for j, (x, y) in enumerate(columns):
+        for image, c in (((x + step, y), coeff(a, x)), ((x, y + step), coeff(b, y))):
+            if c:
+                if image not in rows:
+                    raise AssertionError("Casimir left the weight subspace")
+                mat[rows[image]][j] = c
+    return mat
 
 
 def casimir_matrix(a: Ladder, b: Ladder | None, k: int) -> list:
-    """Exact matrix of Omega on the K-weight-k subspace of a (x) b, with
-    b = V(0) when None (columns are images)."""
-    space = _TensorSpace(a, FinDimRealization(0) if b is None else b)
-    basis = space.basis_at(k)
-    if not basis:
+    """Exact matrix of Omega = H'^2 + 1 + 2 E'F' + 2 F'E' on the weight-k
+    subspace W_k of a (x) b, with b = V(0) when None (columns are images).
+
+    H' is k on W_k.  E'F' + F'E' is one product of ``_ladder_map``s through
+    W_{k-2} + W_{k+2}, the block row [E'_{k-2} F'_{k+2}] times the block
+    column [F'_k; E'_k]; an empty neighbour has no block and adds nothing.
+    """
+    b = FinDimRealization(0) if b is None else b
+    n = len(_basis(a, b, k))
+    if not n:
         raise ValueError(f"no vectors at this K-weight: k={k}")
-    index = {key: i for i, key in enumerate(basis)}
-    n = len(basis)
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    for j, key in enumerate(basis):
-        image = _omega(space, {key: Fraction(1)})
-        for ikey, c in image.items():
-            if ikey not in index:
-                raise AssertionError("Casimir left the weight subspace")
-            mat[index[ikey]][j] = c
+    into = [e + f for e, f in zip(_ladder_map(a, b, k - 2, 2), _ladder_map(a, b, k + 2, -2))]
+    out = _ladder_map(a, b, k, -2) + _ladder_map(a, b, k, 2)
+    mat = [[Fraction(k * k + 1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for row, prod in zip(mat, mat_mul(into, out)):
+        for j, x in enumerate(prod):
+            row[j] += 2 * x
     return mat
 
 

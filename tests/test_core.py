@@ -175,6 +175,9 @@ def test_display_order_of_formatting():
     x = VirtualModule([(FinDim(0), 1), (DiscreteSeries(1, 1), 2), (DiscreteSeries(1, 3), 1)])
     assert format_virtual_module(x) == "D+(3) + 2*D+(1) + V(0)"
     assert format_virtual_module(VirtualModule.zero()) == "0"
+    # a multiplicity of -1 is a bare minus sign
+    x = VirtualModule([(FinDim(2), 1), (FinDim(0), -1), (DiscreteSeries(1, 1), -2)])
+    assert format_virtual_module(x) == "V(2) + -2*D+(1) + -V(0)"
 
 
 @given(
@@ -371,6 +374,52 @@ def test_as_cone_module_and_ktype_agreement():
     assert as_cone_module(x) is ASCone.PLUS_HALF_LINE
     with pytest.raises(ValueError):
         as_cone_module(VirtualModule.zero())
+
+
+# Every refusal of the class and K-type layer, by its exact message: a call
+# whose check is deleted returns, or stops at a later check with another one.
+REFUSALS = [
+    (lambda: InfChar(-1), ValueError, "canonical representative must be nonnegative"),
+    (lambda: InfChar(1) < 1, TypeError, "'<' not supported between instances of 'InfChar' and 'int'"),
+    (lambda: KTypeFunction(0, -1, -1, ()), ValueError, "tail multiplicities must be nonnegative"),
+    (lambda: KTypeFunction(0, 0, 0, ((0, 1), (4, 1))), ValueError, "window must be step-2 contiguous"),
+    (lambda: KTypeFunction(0, 0, 1, ()), ValueError, "empty window needs equal tails"),
+    (lambda: ktype_function(FinDim(2)).table(2, 0), ValueError, "window must be nonempty"),
+    (
+        lambda: ktype_function(DiscreteSeries(1, 0)).total(),
+        ValueError,
+        "total multiplicity is defined for finitely supported functions",
+    ),
+    (
+        lambda: ktype_function(DiscreteSeries(-1, 0)).support_points(),
+        ValueError,
+        "explicit support requires a finitely supported function",
+    ),
+    (lambda: ktype_function(FinDim(0)).scale(-1), ValueError, "multiplicities must stay nonnegative"),
+    (
+        lambda: ktype_function(FinDim(0)) + 1,
+        TypeError,
+        "unsupported operand type(s) for +: 'KTypeFunction' and 'int'",
+    ),
+    (
+        lambda: module_ktype_function(VirtualModule([(FinDim(0), -1)])),
+        ValueError,
+        "K-type function requires nonnegative multiplicities",
+    ),
+    (lambda: ascone_from_ktypes(KTypeFunction.zero(1)), ValueError, "undefined on empty support"),
+    (
+        lambda: as_cone_module(VirtualModule([(FinDim(0), 1), (FinDim(2), -1)])),
+        ValueError,
+        "asymptotic cone requires nonnegative multiplicities",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS, ids=[m for _, _, m in REFUSALS])
+def test_each_refusal_gives_its_own_message(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message
 
 
 def test_format_scalar():

@@ -6,9 +6,13 @@ The dense reference (``casimir_matrix``, then ``char_poly`` and
 ``root_multiplicity`` on the matrix cleared of denominators) is run on the
 bounded ladder shapes D+(l), D-(l) and V(m1), tensored with V(m), and
 compared with ``ds_tensor`` and ``clebsch_gordan``: each weight's Casimir
-multiplicities must be those of the predicted classes' K-types.
+multiplicities must be those of the predicted classes' K-types.  On every
+ladder shape, I(lam, eps) included, the identities of the ``oracle``
+docstring are checked from the weight-space maps of ``_ladder_map``.
 """
 
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -36,10 +40,12 @@ from sl2hc.core import (
     principal_is_irreducible,
 )
 from sl2hc.lattice import class_closure, classify_irreducible
-from sl2hc.linalg import char_poly, clear_denominators, root_multiplicity
+from sl2hc.linalg import char_poly, clear_denominators, mat_mul, root_multiplicity
 from sl2hc.oracle import (
     FinDimRealization,
     PrincipalSeriesRealization,
+    _basis,
+    _ladder_map,
     casimir_matrix,
     casimir_on_symmetric_power,
     casimir_report,
@@ -236,6 +242,72 @@ def test_casimir_matrix_needs_a_bounded_right_factor():
         casimir_matrix(FinDimRealization(1), PrincipalSeriesRealization(0, 1), 1)
     with pytest.raises(ValueError, match="finite-dimensional factor"):
         casimir_matrix(FinDimRealization(1), ladder(DiscreteSeries(1, 0)), 1)
+
+
+def _ladder_shapes() -> list:
+    """I(lam, eps), reducible or not, for |p| <= 4 and q <= 2; V(n), n <= 4; D+-(l), l <= 3."""
+    shapes = [
+        PrincipalSeriesRealization(Fraction(p, q), eps)
+        for p in range(-4, 5)
+        for q in (1, 2)
+        if Fraction(p, q).denominator == q
+        for eps in (0, 1)
+    ]
+    shapes += [FinDimRealization(n) for n in range(5)]
+    return shapes + [ladder(DiscreteSeries(sign, l)) for sign in (1, -1) for l in range(4)]
+
+
+def _through(left: Ladder, right: Ladder, k: int, step: int, n: int) -> list:
+    """F'E' (step 2) or E'F' (step -2) on the n-dimensional W_k, through
+    W_{k+step}; zero when W_{k+step} is empty."""
+    out = _ladder_map(left, right, k, step)
+    return mat_mul(_ladder_map(left, right, k + step, -step), out) if out else [[0] * n for _ in range(n)]
+
+
+def _times_root_power(poly: list, r: int, d: int) -> list:
+    """poly(y) (y - r)^d, coefficients from the leading one down."""
+    for _ in range(d):
+        poly = [c - r * below for c, below in zip(poly + [0], [0] + poly)]
+    return poly
+
+
+def test_oracle_identities_hold_on_every_ladder_shape():
+    """The identities of the ``oracle`` docstring, from the definition, on
+    ladder (x) V(m) for half the pairs (shape, m <= 4), over a window that
+    holds every change of dimension.  E'F' - F'E' = k on each W_k.  With
+    chi_k the characteristic polynomial of Omega on W_k and d_k its degree,
+    adjacent weights obey the non-square Sylvester rule
+    chi_{k+2}(y) = (y - (k+1)^2)^(d_{k+2} - d_k) chi_k(y), or its mirror
+    where d_k > d_{k+2}."""
+    steps, weights = Counter(), 0
+    for index, left in enumerate(_ladder_shapes()):
+        for m in range(index % 2, 5, 2):
+            right, scale = FinDimRealization(m), 4 * left.lam.denominator ** 2
+            bound = math.ceil(abs(left.lam)) + m + 2
+            prev = None
+            for k in range(-bound - (bound + left.eps + m) % 2, bound + 1, 2):
+                n = len(_basis(left, right, k))
+                if n:
+                    ef, fe = _through(left, right, k, -2, n), _through(left, right, k, 2, n)
+                    assert [[x - y for x, y in zip(*rows)] for rows in zip(ef, fe)] == [
+                        [k if i == j else 0 for j in range(n)] for i in range(n)
+                    ], (left, m, k)
+                    omega, s = clear_denominators(casimir_matrix(left, right, k), extra=[Fraction(1, scale)])
+                    assert s == scale
+                    chi = char_poly(omega)
+                    weights += 1
+                else:
+                    chi = [1]
+                if prev is not None and (n or len(prev) > 1):
+                    grow = n - (len(prev) - 1)
+                    r = scale * (k - 1) ** 2
+                    if grow >= 0:
+                        assert chi == _times_root_power(prev, r, grow), (left, m, k)
+                    else:
+                        assert prev == _times_root_power(chi, r, -grow), (left, m, k)
+                    steps[(grow > 0) - (grow < 0)] += 1
+                prev = chi
+    assert weights > 500 and min(steps[c] for c in (-1, 0, 1)) > 50, (weights, steps)
 
 
 BAD_PARITIES = [True, False, 1.0, "1", 2, -1]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sl2hc.core import FinDim, PrincipalIrr, casimir_value, ktype_function
+from sl2hc.core import FinDim, Ladder, PrincipalIrr, casimir_value, ktype_function
 from sl2hc.linalg import (
     char_poly,
     clear_denominators,
@@ -33,6 +33,7 @@ from sl2hc.oracle import (
     verify_tensor,
     _breaks,
     _diagonals,
+    _ladder_map,
 )
 from sl2hc.tensor import Irr, LengthTwo, block_parameter, decomposition_semisimplification, ps_tensor
 
@@ -84,6 +85,13 @@ def test_casimir_matrix_requires_a_vector():
         casimir_matrix(FinDimRealization(1), None, 5)
     with pytest.raises(ValueError):
         casimir_matrix(FinDimRealization(0), FinDimRealization(0), 1)
+
+
+def test_casimir_matrix_refuses_a_coefficient_that_leaves_the_window(monkeypatch):
+    # E' off by 1/2 no longer vanishes at the top weight 1 of V(1)
+    monkeypatch.setattr(Ladder, "e_coeff", lambda self, k: (self.lam + k + 2) / 2)
+    with pytest.raises(AssertionError, match="^Casimir left the weight subspace$"):
+        casimir_matrix(PrincipalSeriesRealization(Fraction(1, 2), 0), FinDimRealization(1), 1)
 
 
 def test_casimir_matrix_frozen_two_by_two():
@@ -457,32 +465,22 @@ def test_no_casimir_value_occurs_more_than_twice(p, q, m):
     assert max(counts.values()) <= 2
 
 
-def _ladder_map(space, gen, k):
-    """The matrix of E' (gen "E", k to k+2) or F' (gen "F", k+2 to k) between
-    the weight spaces of ``space``, cleared of denominators."""
-    source, target = (k, k + 2) if gen == "E" else (k + 2, k)
-    rows = {key: i for i, key in enumerate(space.basis_at(target))}
-    columns = space.basis_at(source)
-    mat = [[Fraction(0)] * len(columns) for _ in rows]
-    for j, key in enumerate(columns):
-        for image, c in space.apply(gen, {key: Fraction(1)}).items():
-            mat[rows[image]][j] = c
-    return clear_denominators(mat)[0]
-
-
 @pytest.mark.parametrize("m", range(6))
 def test_breaks_are_where_both_ladder_maps_are_singular_and_inside_the_default_window(m):
-    from sl2hc.oracle import _TensorSpace
-
+    right = FinDimRealization(m)
     for lam in [Fraction(p, q) for p in range(-8, 9) for q in (1, 2, 3) if Fraction(p, q).denominator == q]:
         for eps in (0, 1):
-            space = _TensorSpace(PrincipalSeriesRealization(lam, eps), FinDimRealization(m))
+            left = PrincipalSeriesRealization(lam, eps)
             lo, hi = default_window(lam, eps, m)
+            # E'_k : W_k -> W_{k+2} and F'_{k+2} : W_{k+2} -> W_k
             singular = {
                 k
                 for k in range(lo - 10, hi + 10)
                 if (k - eps - m) % 2 == 0
-                and all(rank(_ladder_map(space, gen, k)) < m + 1 for gen in "EF")
+                and all(
+                    rank(clear_denominators(_ladder_map(left, right, source, step))[0]) < m + 1
+                    for source, step in ((k, 2), (k + 2, -2))
+                )
             }
             breaks = _breaks(lam, eps, m)
             assert breaks == singular, (lam, eps, m)

@@ -315,6 +315,16 @@ def test_primary_split():
     assert split[InfChar(Fraction(1))] == VirtualModule.of(V(0))
     assert split[InfChar(Fraction(0))] == VirtualModule.of(Dp(0))
     assert sum(split.values(), VirtualModule.zero()) == z
+    with pytest.raises(ValueError) as raised:
+        primary_split(VirtualModule.of(V(1)) - VirtualModule.of(V(0)))
+    assert str(raised.value) == "primary decomposition requires nonnegative multiplicities"
+
+
+@pytest.mark.parametrize("block", [V(0), Dp(1), Irr(I(Fraction(1, 2), 0)), "I(1/2,0)"])
+def test_block_parameter_refuses_what_is_not_a_series_block(block):
+    with pytest.raises(TypeError) as raised:
+        block_parameter(block)
+    assert str(raised.value) == f"not a principal series block: {block!r}"
 
 
 def test_decomposition_to_dict_shape():
