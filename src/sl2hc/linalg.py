@@ -6,10 +6,11 @@ enters the spectral computations built on top.
 The oracle's matrices are tridiagonal and are held as three integer
 diagonals ``(diag, upper, lower)``: ``upper[i]`` is entry (i, i+1) and
 ``lower[i]`` entry (i+1, i).  Production uses the routines for that form:
-the continuant recurrence for the characteristic polynomial, and Jordan
-block sizes at multiplicity 1 or 2, which need nothing when one
-off-diagonal has no zero, and otherwise one exact nullity, taken by
-following a null vector down the three-term recurrence.
+the continuant recurrence, which gives the characteristic polynomial and
+the principal minors, and Jordan block sizes at multiplicity 1 or 2, which
+need nothing when one off-diagonal has no zero, and otherwise the leading
+and trailing principal minors of T - cI, whose products with runs of
+off-diagonal entries are its (n-1)-minors.
 
 Dense matrices are lists of row lists.  The dense routines (Bareiss rank,
 Faddeev-LeVerrier characteristic polynomial, whose divisions are exact over
@@ -40,9 +41,9 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         for k in range(m):
             c = ai[k]
             if c:
-                bk = b[k]
-                for j in range(p):
-                    oi[j] += c * bk[j]
+                for j, x in enumerate(b[k]):
+                    if x:
+                        oi[j] += c * x
     return out
 
 
@@ -199,48 +200,42 @@ def tridiagonal_jordan_block_sizes(diag: list, upper: list, lower: list, c, mult
     """Jordan block sizes (descending) of an integer tridiagonal matrix T at
     an eigenvalue ``c`` of multiplicity 1 or 2, the most the oracle meets.
 
-    When ``upper`` or ``lower`` has no zero, deleting the last row and first
-    column of T - cI, or its first row and last column, leaves a triangular
-    minor with that diagonal, so rank(T - cI) = n - 1: one block, and no
-    nullity is taken.  Otherwise the nullity, 1 or 2, gives (2,) or (1, 1).
-    Any other multiplicity or nullity is an ``AssertionError``.
+    There is one block exactly when some (n-1)-minor of T - cI is nonzero.
+    Deleting row j and column i <= j (or row i and column j) leaves a block
+    triangular matrix whose diagonal blocks are the leading i x i minor, the
+    entries ``upper[i:j]`` (or ``lower[i:j]``) and the trailing
+    (n-1-j) x (n-1-j) minor.  When ``upper`` or ``lower`` has no zero, the
+    minor with i = 0 and j = n-1 is nonzero and no minor is taken.  As
+    rank(T - cI) >= n-1-z when an off-diagonal has z zeros, two blocks are
+    proven only when one off-diagonal has a single zero.  Any other
+    multiplicity, a ``c`` that is no eigenvalue, or an unproven second block
+    is an ``AssertionError``.
     """
     if mult not in (1, 2):
         raise AssertionError(f"Jordan sizes are taken at multiplicity 1 or 2, not {mult}")
     if mult == 1 or all(upper) or all(lower):
         return (mult,)
-    g = tridiagonal_nullity(diag, upper, lower, c)
-    if g not in (1, 2):
-        raise AssertionError(f"{g} Jordan blocks at an eigenvalue of multiplicity 2")
-    return (2,) if g == 1 else (1, 1)
+    theta = _leading_minors(diag, upper, lower, c)
+    if theta[-1]:
+        raise AssertionError(f"{c} is not an eigenvalue")
+    phi = _leading_minors(diag[::-1], upper[::-1], lower[::-1], c)
+    n = len(diag)
+    for off in (upper, lower):
+        joined = False  # some theta[i] != 0 with off[i:j] free of zeros
+        for j in range(n):
+            joined = theta[j] != 0 or (joined and off[j - 1] != 0)
+            if joined and phi[n - 1 - j]:
+                return (2,)
+    if min(upper.count(0), lower.count(0)) > 1:
+        raise AssertionError("a second Jordan block at multiplicity 2 is not proven")
+    return (1, 1)
 
 
-def tridiagonal_nullity(diag: list, upper: list, lower: list, c) -> int:
-    """dim ker(T - cI) of an integer tridiagonal matrix T.
-
-    A null vector x is followed down the rows, its last two entries kept as
-    integer forms {parameter: coefficient}.  x[0] is a parameter, and so is
-    x[i+1] after a zero ``upper[i]``; otherwise row i fixes x[i+1], and the
-    vector is scaled by ``upper[i]`` to stay integral.  A row that fixes
-    nothing (after a zero ``upper[i]``, and the last row) is a condition;
-    a nonzero one eliminates one parameter.  The parameters left count.
-    """
-    free, prev, cur = 0, {}, {}
+def _leading_minors(diag: list, upper: list, lower: list, c) -> list:
+    """The leading principal minors theta_0 = 1, theta_1, ..., theta_n of
+    T - cI, by the continuant recurrence of ``tridiagonal_char_poly``."""
+    minors = [1]
     for i, d in enumerate(diag):
-        if i == 0 or not upper[i - 1]:
-            prev, cur, free = cur, {i: 1}, free + 1
-        row = _form(lower[i - 1] if i else 0, prev, d - c, cur)
-        if i + 1 < len(diag) and upper[i]:
-            prev, cur = _form(upper[i], cur, 0, {}), _form(-1, row, 0, {})
-        elif row:
-            p = next(iter(row))
-            cur, free = _form(row[p], cur, -cur.get(p, 0), row), free - 1
-    return free
-
-
-def _form(a: int, x: dict, b: int, y: dict) -> dict:
-    """a*x + b*y for integer forms {parameter: coefficient}, zeros dropped."""
-    out = {p: a * v for p, v in x.items()}
-    for p, v in y.items():
-        out[p] = out.get(p, 0) + b * v
-    return {p: v for p, v in out.items() if v}
+        w = upper[i - 1] * lower[i - 1] * minors[i - 1] if i else 0
+        minors.append((d - c) * minors[i] - w)
+    return minors

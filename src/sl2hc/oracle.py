@@ -19,8 +19,8 @@ integers under one scale (``_diagonals``), scales the candidate
 eigenvalues to integers once, and uses the continuant recurrence of
 ``linalg``: no ``Fraction`` is touched per K-weight.  No value has
 multiplicity above 2 ((lam+m-2j)^2 repeats only for j + j' = lam + m), so
-Jordan sizes take at most one nullity.  Two sl(2) identities, which use
-only the ladder coefficients, spare most of the weights:
+Jordan sizes need at most one band's principal minors.  Two sl(2)
+identities, which use only the ladder coefficients, spare most of the weights:
 
 - E'F' - F'E' = H' on each factor, hence on the product, so on W_k
   F'E' = (Omega - (k+1)^2)/4, and on W_{k+2} E'F' is the same expression.
@@ -201,6 +201,8 @@ def default_window(lam: Scalar, eps: int, m: int) -> tuple:
     """Symmetric window; the bound |lam|+m+6 snapped up to the K-type parity.
     Breaks lie within |k| <= |lam|+m+1, so it holds each with weights beyond."""
     lam = as_scalar(lam)
+    check_parity(eps)
+    check_highest_weight(m)
     bound = math.ceil(abs(lam) + m + 6)
     if (bound - (eps + m)) % 2 != 0:
         bound += 1

@@ -16,7 +16,6 @@ from sl2hc.linalg import (
     root_multiplicity,
     tridiagonal_char_poly,
     tridiagonal_jordan_block_sizes,
-    tridiagonal_nullity,
 )
 
 
@@ -115,16 +114,20 @@ def _dense(diag, upper, lower):
     return dense
 
 
-def _check_jordan_at_every_root(diag, upper, lower, poly):
-    """At every root the nullity is the number of dense Jordan blocks, and
-    at multiplicity 1 or 2 the tridiagonal sizes are the dense ones."""
+def _check_jordan_at_every_root(diag, upper, lower, poly, shifts=None):
+    """At every root of multiplicity 1 or 2 among ``shifts`` (by default the
+    diagonal's values) the tridiagonal sizes are the dense ones, except that
+    two blocks are refused where both off-diagonals hold two or more zeros,
+    as the minors do not prove them there."""
     dense = _dense(diag, upper, lower)
-    for c in set(diag):
+    for c in set(diag) if shifts is None else shifts:
         mult, _ = root_multiplicity(poly, c)
-        if mult:
+        if 1 <= mult <= 2:
             sizes = jordan_block_sizes(dense, c, mult)
-            assert tridiagonal_nullity(diag, upper, lower, c) == len(sizes)
-            if mult <= 2:
+            if sizes == (1, 1) and min(upper.count(0), lower.count(0)) >= 2:
+                with pytest.raises(AssertionError):
+                    tridiagonal_jordan_block_sizes(diag, upper, lower, c, mult)
+            else:
                 assert tridiagonal_jordan_block_sizes(diag, upper, lower, c, mult) == sizes
 
 
@@ -145,10 +148,23 @@ def _zeroed_tridiagonals(draw):
 @example(([1, 1], [0], [0], 0))
 @example(([2], [], [], 2))
 @settings(max_examples=300)
-def test_tridiagonal_nullity_matches_bareiss(case):
+def test_leading_minors_match_dense_determinants(case):
+    """Every leading minor of T - cI, and every trailing one (the leading
+    minors of the reversed band), is the determinant of its dense block."""
     diag, upper, lower, c = case
+    n = len(diag)
     shifted = _dense([d - c for d in diag], upper, lower)
-    assert tridiagonal_nullity(diag, upper, lower, c) == len(diag) - rank(shifted)
+    theta = linalg._leading_minors(diag, upper, lower, c)
+    phi = linalg._leading_minors(diag[::-1], upper[::-1], lower[::-1], c)
+    for i in range(n + 1):
+        assert theta[i] == _det([row[:i] for row in shifted[:i]])
+        assert phi[i] == _det([row[n - i :] for row in shifted[n - i :]])
+    _check_jordan_at_every_root(diag, upper, lower, tridiagonal_char_poly(diag, upper, lower), {c})
+
+
+def _det(rows):
+    """Dense determinant, the constant term of det(tI - A) times (-1)^n."""
+    return (-1) ** len(rows) * char_poly(rows)[-1]
 
 
 @given(
@@ -181,13 +197,14 @@ def _reduced_tridiagonals(draw):
     return diag, upper, lower
 
 
-# (diag, upper, lower) at eigenvalue 0 -> Jordan sizes, and the nullities
-# ``tridiagonal_jordan_block_sizes`` takes at multiplicity 1 or 2
+# (diag, upper, lower) at eigenvalue 0 -> Jordan sizes, and the sweeps of
+# leading minors ``tridiagonal_jordan_block_sizes`` takes at multiplicity 1 or 2
 JORDAN_CASES = {
     "upper-full": (([0, 0], [1], [0]), (2,), 0),
     "lower-full": (([0, 0, 1], [0, 0], [1, 1]), (2,), 0),
-    "J2": (([0, 0, 1], [1, 0], [0, 0]), (2,), 1),
-    "J1+J1": (([0, 0], [0], [0]), (1, 1), 1),
+    "J2": (([0, 0, 1], [1, 0], [0, 0]), (2,), 2),
+    "J2-lower": (([0, 0, 1], [0, 0], [1, 0]), (2,), 2),
+    "J1+J1": (([0, 0], [0], [0]), (1, 1), 2),
     "J3": (([0, 0, 0, 1], [1, 1, 0], [0, 0, 0]), (3,), None),
     "J2+J1": (([0, 0, 0], [1, 0], [0, 0]), (2, 1), None),
     "J1+J1+J1": (([0, 0, 0], [0, 0], [0, 0]), (1, 1, 1), None),
@@ -202,6 +219,7 @@ JORDAN_CASES = {
 
 @given(_reduced_tridiagonals())
 @example(JORDAN_CASES["J2"][0])
+@example(JORDAN_CASES["J2-lower"][0])
 @example(JORDAN_CASES["J1+J1"][0])
 @example(JORDAN_CASES["J3"][0])
 @example(JORDAN_CASES["J2+J1"][0])
@@ -217,24 +235,24 @@ def test_reduced_tridiagonal_jordan_sizes_match_dense(diagonals):
 
 
 @pytest.mark.parametrize("label", sorted(JORDAN_CASES))
-def test_tridiagonal_jordan_sizes_take_a_nullity_only_where_an_off_diagonal_has_a_zero(monkeypatch, label):
-    """No nullity when an off-diagonal has no zero, and otherwise one, which
-    tells (2,) from (1, 1).  The oracle meets no multiplicity above 2, so
-    there the routine refuses; the nullity still counts the dense blocks."""
-    (diag, upper, lower), sizes, nullities = JORDAN_CASES[label]
+def test_tridiagonal_jordan_sizes_take_minors_only_where_an_off_diagonal_has_a_zero(monkeypatch, label):
+    """No minors when an off-diagonal has no zero, and otherwise the leading
+    and the trailing ones, which tell (2,) from (1, 1).  The oracle meets no
+    multiplicity above 2, so there the routine refuses."""
+    (diag, upper, lower), sizes, sweeps = JORDAN_CASES[label]
     calls = []
 
-    def counting_nullity(*args):
+    def counting_minors(*args):
         calls.append(args)
-        return tridiagonal_nullity(*args)
+        return leading_minors(*args)
 
-    monkeypatch.setattr(linalg, "tridiagonal_nullity", counting_nullity)
+    leading_minors = linalg._leading_minors
+    monkeypatch.setattr(linalg, "_leading_minors", counting_minors)
     mult, _ = root_multiplicity(tridiagonal_char_poly(diag, upper, lower), 0)
     assert jordan_block_sizes(_dense(diag, upper, lower), 0, mult) == sizes
-    assert tridiagonal_nullity(diag, upper, lower, 0) == len(sizes)
     if mult <= 2:
         assert tridiagonal_jordan_block_sizes(diag, upper, lower, 0, mult) == sizes
-        assert len(calls) == nullities
+        assert len(calls) == sweeps
     else:
         with pytest.raises(AssertionError):
             tridiagonal_jordan_block_sizes(diag, upper, lower, 0, mult)

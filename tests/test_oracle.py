@@ -14,7 +14,6 @@ from sl2hc.linalg import (
     root_multiplicity,
     tridiagonal_char_poly,
     tridiagonal_jordan_block_sizes,
-    tridiagonal_nullity,
 )
 from sl2hc.oracle import (
     BlockObservation,
@@ -137,6 +136,17 @@ def test_default_window():
     assert default_window(0, 0, 0) == (-6, 6)
 
 
+def test_default_window_refuses_a_bad_parity_or_highest_weight():
+    with pytest.raises(ValueError, match=r"^parity must be 0 or 1, got 7$"):
+        default_window(Fraction(1, 2), 7, -3)
+    with pytest.raises(ValueError, match=r"^parity must be 0 or 1, got True$"):
+        default_window(0, True, 1)
+    with pytest.raises(ValueError, match=r"^highest weight must be a nonnegative integer, got -3$"):
+        default_window(Fraction(1, 2), 1, -3)
+    with pytest.raises(ValueError, match=r"^highest weight must be a nonnegative integer, got 2.0$"):
+        default_window(0, 0, 2.0)
+
+
 def test_verify_tensor_pinned_triples():
     cases = [
         (Fraction(1, 2), 0, 1, (-9, 9)),
@@ -247,36 +257,39 @@ def test_banded_oracle_takes_all_three_jordan_paths(monkeypatch):
 
     calls = []
 
-    def counting_nullity(*args):
+    def counting_minors(*args):
         calls.append(args)
-        return tridiagonal_nullity(*args)
+        return leading_minors(*args)
 
-    monkeypatch.setattr(linalg, "tridiagonal_nullity", counting_nullity)
+    leading_minors = linalg._leading_minors
+    monkeypatch.setattr(linalg, "_leading_minors", counting_minors)
     # I(1, 0) is reducible: one ladder zero falls inside the k = -2 space of
-    # V(2), which leaves `lower` without a zero: one block and no nullity
+    # V(2), which leaves `lower` without a zero: one block and no minors
     diag, upper, lower = _diagonals(1, 1, 2, -2)
     assert not all(upper) and all(lower)
     candidates = eigenvalue_candidates(Fraction(1), 2)
     ((_, _, eigenvalues),) = _weights(casimir_report(1, 0, 2, (-2, -2)))
     assert eigenvalues == _dense_spectrum(_band_rows(diag, upper, lower), candidates)
     assert eigenvalues[0] == (Fraction(1), 2, (2,)) and calls == []
-    # both ladder zeros fall inside the k = 0 space: one nullity decides
+    # both ladder zeros fall inside the k = 0 space: the leading and the
+    # trailing minors decide
     diag, upper, lower = _diagonals(1, 1, 2, 0)
     assert not all(upper) and not all(lower)
     ((_, _, eigenvalues),) = _weights(casimir_report(1, 0, 2, (0, 0)))
     assert eigenvalues == _dense_spectrum(_band_rows(diag, upper, lower), candidates)
-    assert len(calls) == 1
+    assert len(calls) == 2
     # no Casimir value repeats more than twice, so a higher multiplicity,
-    # given directly, is refused before any nullity: J2 + J2 at 0
+    # given directly, is refused before any minor: J2 + J2 at 0
     with pytest.raises(AssertionError):
         tridiagonal_jordan_block_sizes([0, 0, 0, 0], [1, 0, 1], [0, 0, 0], 0, 4)
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def test_jordan_sizes_at_every_double_root_around_every_break_match_dense():
     """At each break b and at b + 2, for m <= 10, every integral |lam| <= m+1
     and both eps, the banded Jordan sizes at every double root are the dense
-    rank-sequence ones."""
+    rank-sequence ones, and each band has at most one zero on each
+    off-diagonal, so two blocks are always proven there."""
     start, seen = time.perf_counter(), Counter()
     for m in range(11):
         for lam in range(-m - 1, m + 2):
@@ -284,6 +297,7 @@ def test_jordan_sizes_at_every_double_root_around_every_break_match_dense():
                 for b in _breaks(Fraction(lam), eps, m):
                     for k in (b, b + 2):
                         band = _diagonals(lam, 1, m, k)
+                        assert band[1].count(0) <= 1 and band[2].count(0) <= 1
                         poly, dense = tridiagonal_char_poly(*band), _band_rows(*band)
                         for c in eigenvalue_candidates(Fraction(lam), m):
                             if root_multiplicity(poly, c.numerator)[0] == 2:
