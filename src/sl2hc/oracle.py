@@ -27,16 +27,17 @@ identities, which use only the ladder coefficients, spare most of the weights:
   AB and BA have one characteristic polynomial (Sylvester's determinant
   identity), so every W_k has the same one, taken and factored once per
   report.
-- Omega commutes with E'_k : W_k -> W_{k+2} and F'_{k+2} : W_{k+2} -> W_k,
-  which are bidiagonal in the b-ordered bases.  Where either is invertible
-  it makes Omega on W_k and on W_{k+2} similar, so the Jordan sizes change
-  only at a break, where both are singular, and are taken once per
-  break-free segment.
-- Even across a break only one value can change.  Let G_k(c) be the
+- Omega commutes with E'_k : W_k -> W_{k+2}, which is bidiagonal in the
+  b-ordered bases with the ladder's e(k-b) on its diagonal.  On an
+  irreducible I(lam, eps) no e vanishes, so E'_k is invertible, Omega on
+  W_k and on W_{k+2} are similar, and no Jordan size changes anywhere.
+- From W_k to W_{k+2} only the value (k+1)^2 can change.  Let G_k(c) be the
   generalized c-eigenspace of Omega on W_k.  For c != (k+1)^2, F'E' is
   invertible on G_k(c) and E'F' on G_{k+2}(c), so E'_k and F'_{k+2} are
   injective there, and E'_k maps G_k(c) isomorphically onto G_{k+2}(c).
-  After a break at k only the Jordan sizes at (k+1)^2 are taken again.
+  A simple value keeps one block, so only a repeated value t^2 changes,
+  and only at the steps k = t-1 and k = -t-1, where its sizes are taken
+  again at k + 2.
 
 The tests compare all this against a reference built from the definition.
 ``casimir_matrix`` takes Omega on W_k of any ladder (x) V(m) (a single
@@ -181,7 +182,8 @@ def reducibility_points(lam: Scalar, eps: int) -> list:
 
 
 class Segment(Record):
-    """The Casimir structure shared by the weights first, first+2, ..., last.
+    """The Casimir structure shared by the weights first, first+2, ..., last,
+    a maximal run of equal spectra.
 
     ``eigenvalues`` holds (value, algebraic multiplicity, Jordan block sizes
     sorted descending), sorted by value.
@@ -192,14 +194,15 @@ class Segment(Record):
 
 class CasimirReport(Record):
     """The weight spectra of I(lam, eps) (x) V(m) over a K-weight window, one
-    segment per break-free run of weights."""
+    segment per run of weights with equal spectra."""
 
     __slots__ = ("lam", "eps", "m", "window", "segments")
 
 
 def default_window(lam: Scalar, eps: int, m: int) -> tuple:
     """Symmetric window; the bound |lam|+m+6 snapped up to the K-type parity.
-    Breaks lie within |k| <= |lam|+m+1, so it holds each with weights beyond."""
+    The Jordan sizes change only at steps k = +-t - 1 with |t| <= |lam|+m, so
+    it holds each with weights beyond."""
     lam = as_scalar(lam)
     check_parity(eps)
     check_highest_weight(m)
@@ -215,8 +218,10 @@ def casimir_report(lam: Scalar, eps: int, m: int, window: tuple | None = None) -
     By the identities of the module docstring, the characteristic polynomial
     is taken and factored once, at the window's first weight (which an
     ``UnexpectedEigenvalueError`` names), and Jordan sizes at that weight.
-    Each break b inside the window, before its last weight, starts a segment
-    at b + 2, where Jordan sizes are taken again for the value (b+1)^2 alone.
+    On a reducible I(lam, eps), each repeated value t^2 (lam is then
+    integral, so q = 1 and its scaled root is t^2) ends a segment at each
+    step k = t-1 and k = -t-1 inside the window, before its last weight; the
+    next segment starts at k + 2, where its Jordan sizes alone are taken again.
     """
     lam = as_scalar(lam)
     check_parity(eps)
@@ -247,29 +252,22 @@ def casimir_report(lam: Scalar, eps: int, m: int, window: tuple | None = None) -
             f"has no roots among the candidates"
         )
     last = hi - (hi - start) % 2
-    first, eigen, segments = start, _spectrum(*band, roots), []
-    for b in sorted(b for b in _breaks(lam, eps, m) if start <= b < last):
-        segments.append(Segment(first, b, eigen))
-        first, changed = b + 2, (b + 1) ** 2 * q * q  # scaled as the roots are
-        eigen = tuple(
-            _spectrum(*_diagonals(p, q, m, first), [root])[0] if root[1] == changed else kept
-            for root, kept in zip(roots, eigen)
-        )
-    segments.append(Segment(first, last, eigen))
+    eigen = [(c, mult, (1,) if mult == 1 else tridiagonal_jordan_block_sizes(*band, cs, mult)) for c, cs, mult in roots]
+    steps = [] if principal_is_irreducible(lam, eps) else sorted(
+        (k, i)
+        for i, (_, cs, mult) in enumerate(roots)
+        if mult == 2
+        for k in (math.isqrt(cs) - 1, -math.isqrt(cs) - 1)
+        if start <= k < last
+    )
+    first, segments = start, []
+    for k, i in steps:
+        segments.append(Segment(first, k, tuple(eigen)))
+        first = k + 2
+        c, cs, mult = roots[i]
+        eigen[i] = (c, mult, tridiagonal_jordan_block_sizes(*_diagonals(p, q, m, first), cs, mult))
+    segments.append(Segment(first, last, tuple(eigen)))
     return CasimirReport(lam, eps, m, (lo, hi), tuple(segments))
-
-
-def _breaks(lam: Fraction, eps: int, m: int) -> frozenset:
-    """The weights k of I(lam, eps) (x) V(m) where E'_k and F'_{k+2} are both singular.
-
-    Their diagonals are e(k-b) and f(k+2-b), b = -m, -m+2, ..., m, and the
-    ladder's e(a) vanishes only at a = -lam-1, f(a) only at a = lam+1: both
-    ladder weights only when I(lam, eps) is reducible.
-    """
-    if principal_is_irreducible(lam, eps):
-        return frozenset()
-    p, bs = lam.numerator, range(-m, m + 1, 2)
-    return frozenset({b - p - 1 for b in bs} & {b + p - 1 for b in bs})
 
 
 def eigenvalue_candidates(lam: Fraction, m: int) -> tuple:
@@ -278,17 +276,6 @@ def eigenvalue_candidates(lam: Fraction, m: int) -> tuple:
     are (p + q(m-2j))^2 / q^2, ordered by the integer numerators."""
     p, q = lam.numerator, lam.denominator
     return tuple(Fraction(s, q * q) for s in sorted({(p + q * (m - 2 * j)) ** 2 for j in range(m + 1)}))
-
-
-def _spectrum(diag: list, upper: list, lower: list, roots: list) -> tuple:
-    """The ``(value, mult, Jordan sizes)`` of one weight space's integer
-    diagonals with the ``(value, scaled value, mult)`` roots of any weight's
-    characteristic polynomial (the first identity of the module docstring);
-    Jordan sizes are taken only at multiplicity 2, the most any value has."""
-    return tuple(
-        (c, mult, (1,) if mult == 1 else tridiagonal_jordan_block_sizes(diag, upper, lower, cs, mult))
-        for c, cs, mult in roots
-    )
 
 
 # --- closed form vs oracle ----------------------------------------------------

@@ -92,8 +92,11 @@ def test_jordan_block_sizes():
 
 
 def test_jordan_block_sizes_sum_check():
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match="^rank sequence failed to stabilize$"):
         jordan_block_sizes([[1, 0], [0, 2]], 1, 2)
+    # the zero matrix drops straight to rank 0, below n - mult = 1
+    with pytest.raises(AssertionError, match="^rank sequence undershot the algebraic multiplicity$"):
+        jordan_block_sizes([[0, 0, 0], [0, 0, 0], [0, 0, 0]], 0, 2)
 
 
 @given(st.lists(st.lists(st.integers(min_value=-4, max_value=4), min_size=2, max_size=2), min_size=2, max_size=2))

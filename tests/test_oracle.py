@@ -3,9 +3,9 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from sl2hc.core import FinDim, Ladder, PrincipalIrr, casimir_value, ktype_function
+from sl2hc.core import FinDim, Ladder, PrincipalIrr, casimir_value, ktype_function, principal_is_irreducible
 from sl2hc.linalg import (
     char_poly,
     clear_denominators,
@@ -30,7 +30,6 @@ from sl2hc.oracle import (
     report_to_dict,
     verdict_to_dict,
     verify_tensor,
-    _breaks,
     _diagonals,
     _ladder_map,
 )
@@ -43,6 +42,19 @@ def _weights(report):
     return tuple(
         (k, report.m + 1, seg.eigenvalues) for seg in report.segments for k in range(seg.first, seg.last + 1, 2)
     )
+
+
+def _breaks(lam, eps, m):
+    """The weights k of I(lam, eps) (x) V(m) where E'_k and F'_{k+2} are both singular.
+
+    Their diagonals are e(k-b) and f(k+2-b), b = -m, -m+2, ..., m, and the
+    ladder's e(a) vanishes only at a = -lam-1, f(a) only at a = lam+1: both
+    ladder weights only when I(lam, eps) is reducible.
+    """
+    if principal_is_irreducible(lam, eps):
+        return frozenset()
+    p, bs = lam.numerator, range(-m, m + 1, 2)
+    return frozenset({b - p - 1 for b in bs} & {b + p - 1 for b in bs})
 
 
 def test_principal_series_realization_basics():
@@ -124,10 +136,7 @@ def test_reducibility_points():
     assert reducibility_points(Fraction(1, 2), 0) == []
     assert reducibility_points(3, 1) == []
     assert reducibility_points(0, 0) == []
-    assert reducibility_points(-4, 1) == [(3, "E'"), (-3, "F'")] or reducibility_points(-4, 1) == [
-        (-3, "F'"),
-        (3, "E'"),
-    ]
+    assert reducibility_points(-4, 1) == [(-3, "F'"), (3, "E'")]
 
 
 def test_default_window():
@@ -410,12 +419,14 @@ def test_characteristic_polynomial_is_one_polynomial_over_a_window(p, q, m, lo, 
 
 
 def test_an_empty_break_set_fails_the_dense_reference(monkeypatch):
+    """Claiming I(3, 0) irreducible leaves no step at which a Jordan size is
+    taken again, and the report no longer equals the dense reference."""
     from sl2hc import oracle
 
     case = (3, 0, 8, default_window(3, 0, 8))
     dense = _dense_entries(*case)
     assert _weights(casimir_report(*case)) == dense
-    monkeypatch.setattr(oracle, "_breaks", lambda lam, eps, m: frozenset())
+    monkeypatch.setattr(oracle, "principal_is_irreducible", lambda lam, eps: True)
     assert _weights(casimir_report(*case)) != dense
 
 
@@ -578,15 +589,32 @@ def test_verify_tensor_cost_does_not_follow_the_window():
 @settings(max_examples=60, deadline=None)
 def test_each_break_inside_the_window_ends_a_segment(case):
     """One segment, plus one for each break b with first weight <= b < last
-    weight; the segments tile the window's weights in order."""
+    weight at which (b+1)^2 is a repeated value; the segments tile the
+    window's weights in order."""
     lam, eps, m, window = case
     report = casimir_report(*case)
     ks = [k for k, _, _ in _weights(report)]
     assert ks == [k for k in range(window[0], window[1] + 1) if (k - eps - m) % 2 == 0]
-    inside = sorted(b for b in _breaks(lam, eps, m) if ks[0] <= b < ks[-1])
+    repeated = {value for value, mult, _ in report.segments[0].eigenvalues if mult == 2}
+    inside = sorted(b for b in _breaks(lam, eps, m) if ks[0] <= b < ks[-1] and (b + 1) ** 2 in repeated)
     assert len(report.segments) == 1 + len(inside)
     assert [seg.last for seg in report.segments[:-1]] == inside
     assert all(a.last + 2 == b.first for a, b in zip(report.segments, report.segments[1:]))
+
+
+@given(st.one_of(_report_cases(), _segment_cases(), _integral_cases()))
+@example((Fraction(0), 1, 2, default_window(0, 1, 2)))
+@settings(max_examples=90, deadline=None)
+def test_segments_are_the_maximal_runs_of_equal_spectra(case):
+    """The segments tile the window's weights in order, and adjacent ones
+    differ: at lam = 0, eps = 1 the simple value 0 at the ladder zero k = -1
+    starts no segment of its own."""
+    lam, eps, m, (lo, hi) = case
+    segments = casimir_report(*case).segments
+    ks = [k for k in range(lo, hi + 1) if (k - eps - m) % 2 == 0]
+    assert (segments[0].first, segments[-1].last) == (ks[0], ks[-1])
+    assert all(seg.first <= seg.last for seg in segments)
+    assert all(a.last + 2 == b.first and a.eigenvalues != b.eigenvalues for a, b in zip(segments, segments[1:]))
 
 
 def test_verify_tensor_large_highest_weights():
