@@ -44,12 +44,12 @@ class Record:
     or keyword field values, then checked or canonicalized by
     ``__post_init__``, which sets fields through ``object.__setattr__``.
     Afterwards they are read-only.  Two records are equal when they have
-    the same class and equal fields; the hash is that of the field tuple,
-    computed once.  The repr is ``Name(field=value, ...)``, and pickling
-    rebuilds through the constructor.
+    the same class and equal fields; the hash is that of the field tuple.
+    The repr is ``Name(field=value, ...)``, and pickling rebuilds through
+    the constructor.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ()
     _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -62,7 +62,6 @@ class Record:
     def __init__(self, *args, **kwargs) -> None:
         if kwargs or len(args) != len(self._fields):
             args = self._bind(args, kwargs)
-        _setattr(self, "_hash", None)
         for name, value in zip(self._fields, args):
             _setattr(self, name, value)
         self.__post_init__()
@@ -92,11 +91,7 @@ class Record:
         return NotImplemented
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(self._key(self))
-            _setattr(self, "_hash", h)
-        return h
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

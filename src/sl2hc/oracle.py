@@ -10,8 +10,9 @@ acts on a tensor product through the coproduct g -> g(x)1 + 1(x)g and
 preserves each total K-weight, so its matrix on the (finite-dimensional)
 weight-k subspace W_k of (ladder) (x) V(m) is exactly computable.
 Comparing its generalized eigenvalue multiplicities with the closed-form
-prediction is a genuinely independent check: nothing here consults the
-decomposition formulas.
+prediction is a genuinely independent check: the report consults no closed
+form, neither ``tensor`` nor ``core.principal_is_irreducible``, as
+``test_oracle.py::test_casimir_report_consults_no_closed_form`` checks.
 
 On the basis (a, b) of a weight space, ordered by b ascending, that matrix
 is tridiagonal.  ``casimir_report`` builds its three diagonals directly as
@@ -27,17 +28,15 @@ identities, which use only the ladder coefficients, spare most of the weights:
   AB and BA have one characteristic polynomial (Sylvester's determinant
   identity), so every W_k has the same one, taken and factored once per
   report.
-- Omega commutes with E'_k : W_k -> W_{k+2}, which is bidiagonal in the
-  b-ordered bases with the ladder's e(k-b) on its diagonal.  On an
-  irreducible I(lam, eps) no e vanishes, so E'_k is invertible, Omega on
-  W_k and on W_{k+2} are similar, and no Jordan size changes anywhere.
 - From W_k to W_{k+2} only the value (k+1)^2 can change.  Let G_k(c) be the
   generalized c-eigenspace of Omega on W_k.  For c != (k+1)^2, F'E' is
   invertible on G_k(c) and E'F' on G_{k+2}(c), so E'_k and F'_{k+2} are
   injective there, and E'_k maps G_k(c) isomorphically onto G_{k+2}(c).
   A simple value keeps one block, so only a repeated value t^2 changes,
   and only at the steps k = t-1 and k = -t-1, where its sizes are taken
-  again at k + 2.
+  again at k + 2.  A repeated value forces an integral lam with t = lam+m
+  (mod 2), so these steps are weights (k = eps+m mod 2) exactly when lam+eps
+  is odd, that is, when I(lam, eps) is reducible.
 
 The tests compare all this against a reference built from the definition.
 ``casimir_matrix`` takes Omega on W_k of any ladder (x) V(m) (a single
@@ -66,7 +65,6 @@ from .core import (
     check_parity,
     format_scalar,
     ladder,
-    principal_is_irreducible,
 )
 from .linalg import mat_mul, root_multiplicity, tridiagonal_char_poly, tridiagonal_jordan_block_sizes
 from .tensor import LengthTwo, ps_tensor
@@ -218,10 +216,10 @@ def casimir_report(lam: Scalar, eps: int, m: int, window: tuple | None = None) -
     By the identities of the module docstring, the characteristic polynomial
     is taken and factored once, at the window's first weight (which an
     ``UnexpectedEigenvalueError`` names), and Jordan sizes at that weight.
-    On a reducible I(lam, eps), each repeated value t^2 (lam is then
-    integral, so q = 1 and its scaled root is t^2) ends a segment at each
-    step k = t-1 and k = -t-1 inside the window, before its last weight; the
-    next segment starts at k + 2, where its Jordan sizes alone are taken again.
+    Each repeated value t^2 (lam is then integral, so q = 1 and its scaled
+    root is t^2) ends a segment at each step k = t-1 and k = -t-1 that is a
+    weight of the window other than its last; the next segment starts at
+    k + 2, where its Jordan sizes alone are taken again.
     """
     lam = as_scalar(lam)
     check_parity(eps)
@@ -253,12 +251,12 @@ def casimir_report(lam: Scalar, eps: int, m: int, window: tuple | None = None) -
         )
     last = hi - (hi - start) % 2
     eigen = [(c, mult, (1,) if mult == 1 else tridiagonal_jordan_block_sizes(*band, cs, mult)) for c, cs, mult in roots]
-    steps = [] if principal_is_irreducible(lam, eps) else sorted(
+    steps = sorted(
         (k, i)
         for i, (_, cs, mult) in enumerate(roots)
         if mult == 2
         for k in (math.isqrt(cs) - 1, -math.isqrt(cs) - 1)
-        if start <= k < last
+        if start <= k < last and (k - start) % 2 == 0
     )
     first, segments = start, []
     for k, i in steps:
@@ -304,10 +302,11 @@ def verify_tensor(lam: Scalar, eps: int, m: int, window: tuple | None = None) ->
     """Compare closed-form Casimir multiplicities against the oracle per K-weight.
 
     Each block I(t, e) of ``ps_tensor``, reducible or not, has every K-type
-    of parity e exactly once, at Casimir value t^2; the blocks have parity
-    eps+m, and one of any other parity would predict nothing at these
-    weights.  So the prediction is one ``((value, mult), ...)``, the blocks
-    counted by value, the same at every weight.  Every weight of the report
+    of parity e exactly once, at Casimir value t^2.  The blocks must have
+    parity eps+m: one of any other parity has no K-type at these weights,
+    so it predicts nothing there and fails the verdict.  So the prediction
+    is one ``((value, mult), ...)``, the blocks of parity eps+m counted by
+    value, the same at every weight.  Every weight of the report
     has the same ``(value, mult)`` pairs, from its one characteristic
     polynomial, so one comparison decides the verdict; the Jordan profiles
     at the glued values are read once per segment, at their places in its
@@ -317,12 +316,13 @@ def verify_tensor(lam: Scalar, eps: int, m: int, window: tuple | None = None) ->
     report = casimir_report(lam, eps, m, window)
 
     parity = (eps + m) % 2
-    counts = Counter(b.lam ** 2 for s in summands for b in s.blocks if b.eps == parity)
+    blocks = [b for s in summands for b in s.blocks]
+    counts = Counter(b.lam ** 2 for b in blocks if b.eps == parity)
     predicted = tuple(sorted(counts.items()))
     # value of a LengthTwo block -> the Jordan profiles seen there
     glued = {b.lam ** 2: set() for s in summands if isinstance(s, LengthTwo) for b in s.blocks}
     first = report.segments[0].eigenvalues
-    passed = tuple([(value, mult) for value, mult, _ in first]) == predicted
+    passed = sum(counts.values()) == len(blocks) and tuple([(value, mult) for value, mult, _ in first]) == predicted
     # every segment lists the values in the first one's order
     seen = [glued.get(value) for value, _, _ in first]
     for segment in report.segments:

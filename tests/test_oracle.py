@@ -1,6 +1,9 @@
+import inspect
+import math
 import time
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -419,15 +422,79 @@ def test_characteristic_polynomial_is_one_polynomial_over_a_window(p, q, m, lo, 
 
 
 def test_an_empty_break_set_fails_the_dense_reference(monkeypatch):
-    """Claiming I(3, 0) irreducible leaves no step at which a Jordan size is
-    taken again, and the report no longer equals the dense reference."""
+    """Moving every step of I(3, 0) (x) V(8) outside the window leaves no
+    weight at which a Jordan size is taken again, and the report no longer
+    equals the dense reference."""
     from sl2hc import oracle
 
     case = (3, 0, 8, default_window(3, 0, 8))
     dense = _dense_entries(*case)
     assert _weights(casimir_report(*case)) == dense
-    monkeypatch.setattr(oracle, "principal_is_irreducible", lambda lam, eps: True)
+    monkeypatch.setattr(oracle, "math", SimpleNamespace(ceil=math.ceil, isqrt=lambda n: 10**6))
     assert _weights(casimir_report(*case)) != dense
+
+
+@st.composite
+def _irreducible_integral_cases(draw):
+    """(lam, eps, m): integral lam = eps (mod 2), |lam| <= m + 2, m <= 24."""
+    m = draw(st.integers(min_value=0, max_value=24))
+    lam = draw(st.integers(min_value=-m - 2, max_value=m + 2))
+    return lam, lam % 2, m
+
+
+@given(_irreducible_integral_cases())
+@settings(max_examples=60, deadline=None)
+@example((0, 0, 1))
+def test_an_irreducible_integral_series_gives_one_segment_from_one_band(case):
+    """On an irreducible I(lam, eps), lam integral with lam = eps (mod 2), the
+    steps k = +-t - 1 of every repeated value t^2 lie off the weights, so
+    the default-window report is one segment and builds one band."""
+    from sl2hc import oracle
+
+    bands = []
+
+    def counting_diagonals(*args):
+        bands.append(args)
+        return _diagonals(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_diagonals", counting_diagonals)
+        report = casimir_report(*case)
+    assert len(report.segments) == 1 and len(bands) == 1
+
+
+def test_casimir_report_consults_no_closed_form(monkeypatch):
+    """The oracle stays independent of what it checks: with the reducibility
+    criterion and every function of ``tensor`` that ``oracle`` binds made to
+    raise, the reports over reducible integral, irreducible integral and
+    generic lam are unchanged."""
+    from sl2hc import core, oracle, tensor
+
+    cases = [
+        (3, 0, 8, None),
+        (-2, 1, 6, (-30, 30)),
+        (0, 1, 12, None),
+        (2, 0, 8, None),
+        (0, 0, 6, None),
+        (-3, 1, 5, (31, 61)),
+        (Fraction(7, 5), 0, 16, None),
+        (Fraction(1, 2), 0, 1, None),
+        (Fraction(-7, 3), 1, 4, (-20, 20)),
+    ]
+    expected = [casimir_report(*case) for case in cases]
+    closed = [core.principal_is_irreducible]
+    closed += [f for f in vars(tensor).values() if inspect.isfunction(f) and f.__module__ == tensor.__name__]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle consulted a closed form")
+
+    patched = [name for name, value in vars(oracle).items() if any(value is f for f in closed)]
+    for name in patched:
+        monkeypatch.setattr(oracle, name, refuse)
+    # the patch bites: the verdict, which reads the closed form, refuses
+    with pytest.raises(AssertionError, match="closed form"):
+        verify_tensor(3, 0, 8)
+    assert [casimir_report(*case) for case in cases] == expected
 
 
 @pytest.mark.parametrize(
@@ -706,6 +773,17 @@ def _drop(i):
     return mutate
 
 
+def _extra_block(label):
+    """Append I(7/2, e), e the parity opposite to the first summand's block."""
+
+    def mutate(summands):
+        (block,) = summands[0].blocks
+        summands.append(Irr(PrincipalIrr(Fraction(7, 2), 1 - block.eps)))
+
+    mutate.label = label
+    return mutate
+
+
 def _first_block(label, shift, flip):
     """Move the first summand's parameter by ``shift`` and flip its parity if ``flip``."""
 
@@ -734,6 +812,12 @@ def _first_block(label, shift, flip):
             ["verify", "1/3", "1", "2"],
             _first_block("moved-by-1/2", Fraction(1, 2), 0),
             "FAIL (k=-9: predicted 1/9:1, 25/9:1, 289/36:1; observed 1/9:1, 25/9:1, 49/9:1)",
+        ),
+        # a block of the other parity predicts nothing at these weights, and fails
+        (
+            ["verify", "1/2", "0", "1"],
+            _extra_block("extra-other-parity"),
+            "FAIL (k=-9: predicted 1/4:1, 9/4:1; observed 1/4:1, 9/4:1)",
         ),
     ],
     ids=lambda value: getattr(value, "label", None),
