@@ -7,9 +7,9 @@ line says which), 3 a verification that ran and failed or met an eigenvalue
 outside its candidate set.  ``--format json`` prints exactly
 ``json.dumps(payload, indent=2)``, with ``schema_version``; ``--format dot``
 is only meaningful for ``lattice``.  ``main`` alone turns payloads into
-output, written at once, and errors into exit codes.  A command imports the
-lattice or the oracle only when it needs them, so the cheap commands start
-fast.
+output, written at once, and errors into exit codes.  A command imports
+each layer beyond ``core`` (the tensor rules, the lattice, the oracle, and
+``json``) only when it uses it, so the cheap commands start fast.
 """
 
 from __future__ import annotations
@@ -35,14 +35,6 @@ from .core import (
     ladder,
     parse_class,
     parse_int,
-)
-from .tensor import (
-    clebsch_gordan,
-    decomposition_to_dict,
-    format_summand,
-    ps_structure,
-    ps_tensor,
-    tensor_with_finite,
 )
 
 SCHEMA_VERSION = 1
@@ -114,12 +106,16 @@ def _verify_line(verdict) -> str:
 
 
 def _cmd_cg(args):
+    from .tensor import clebsch_gordan
+
     product = clebsch_gordan(args.m1, args.m2)
     payload = {"command": "cg", "m1": args.m1, "m2": args.m2, "module": _module_to_dict(product)}
     return payload, _line(format_virtual_module, product), True
 
 
 def _cmd_series(args):
+    from .tensor import ps_structure
+
     structure = ps_structure(args.lam, args.eps)
     payload = {
         "command": "series",
@@ -141,6 +137,8 @@ def _series_lines(p: dict):
 
 
 def _cmd_tensor(args):
+    from .tensor import decomposition_to_dict, format_summand, ps_tensor, tensor_with_finite
+
     cls = args.cls
     payload = {"command": "tensor", "class": format_class(cls), "m": args.m}
     if as_cone(cls) is ASCone.FULL_LINE:  # a principal series: its summands are known
@@ -390,31 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _json(obj) -> str:
-    """``json.dumps(obj, indent=2)`` byte for byte over dicts with string keys,
-    lists, tuples, strings, ints, bools and None; any other type raises
-    TypeError.  With an indent the stdlib runs its pure-Python encoder."""
-    from json.encoder import encode_basestring_ascii as quote  # the C one
-
-    def encode(obj, indent: str) -> str:
-        if isinstance(obj, str):
-            return quote(obj)
-        if obj is None or isinstance(obj, bool):
-            return "null" if obj is None else "true" if obj else "false"
-        if isinstance(obj, int):
-            return int.__repr__(obj)
-        inner = indent + "  "
-        if isinstance(obj, dict):
-            items = [f"{quote(key)}: {encode(value, inner)}" for key, value in obj.items()]
-            return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
-        if isinstance(obj, (list, tuple)):
-            items = [encode(value, inner) for value in obj]
-            return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-    return encode(obj, "\n")
-
-
 def _write_stdout(text: str) -> None:
     """Write all of ``text`` to stdout, or raise.
 
@@ -456,7 +429,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAIL ({exc})", file=sys.stderr)
         return 3
     if args.format == "json":
-        text = _json({"schema_version": SCHEMA_VERSION, **payload}) + "\n"
+        import json
+
+        text = json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2) + "\n"
     else:
         text = "\n".join([*lines, ""])
     try:

@@ -1,9 +1,8 @@
-"""How ``sl2hc.cli.main`` writes: pinned bytes, one write, the JSON writer,
-and a reader that closes the pipe early."""
+"""How ``sl2hc.cli.main`` writes: pinned bytes, one write, and a reader that
+closes the pipe early."""
 
 import hashlib
 import io
-import json
 import os
 import subprocess
 import sys
@@ -11,9 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-import sl2hc.cli as cli
 from sl2hc.cli import main
 from sl2hc.core import principal_is_irreducible
 
@@ -143,42 +140,6 @@ def test_unbuffered_stdout_short_writes_lose_nothing(monkeypatch, fmt):
     assert main(_lattice_argv(3, fmt)) == 0
     assert raw.writes > 1
     assert hashlib.sha256(raw.data).hexdigest() == LATTICE_SHA256[3, fmt]
-
-
-# --- the JSON writer ---------------------------------------------------------------
-
-_TEXT = st.text(
-    st.characters()
-    | st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", " ", "\xe9", "\U0001f600", "\ud800"])
-)
-_SCALARS = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(2**200), max_value=2**200)
-    | _TEXT
-)
-_VALUES = st.recursive(
-    _SCALARS,
-    lambda children: st.lists(children, max_size=4)
-    | st.lists(children, max_size=4).map(tuple)
-    | st.dictionaries(_TEXT, children, max_size=4),
-    max_leaves=30,
-)
-
-
-@given(_VALUES)
-@settings(max_examples=300, deadline=None)
-def test_json_writer_equals_json_dumps_indent_2(value):
-    assert cli._json(value) == json.dumps(value, indent=2)
-
-
-def test_json_writer_refuses_what_json_dumps_refuses():
-    for value in (Fraction(1, 2), {"a": [0, Fraction(1, 3)]}, {1, 2}):
-        with pytest.raises(TypeError):
-            json.dumps(value, indent=2)
-        with pytest.raises(TypeError):
-            cli._json(value)
 
 
 # --- a reader that stops early ------------------------------------------------------
