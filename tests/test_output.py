@@ -1,8 +1,9 @@
-"""How ``sl2hc.cli.main`` writes: pinned bytes, one write, and a reader that
-closes the pipe early."""
+"""How ``sl2hc.cli.main`` writes: pinned bytes, canonical JSON, one write, and a
+reader that closes the pipe early."""
 
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from sl2hc.cli import main
+from sl2hc.cli import SCHEMA_VERSION, main
 from sl2hc.core import principal_is_irreducible
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -111,6 +112,28 @@ def test_main_writes_stdout_once(monkeypatch, fmt):
     assert main(_lattice_argv(3, fmt)) == 0
     assert fake.writes == 1
     assert hashlib.sha256(fake.getvalue().encode()).hexdigest() == LATTICE_SHA256[3, fmt]
+
+
+JSON_ARGVS = [
+    ["cg", "2", "3"],
+    ["series", "--", "-3", "1"],
+    ["tensor", "I(1/3,0)", "2"],
+    ["ktypes", "D+(2)", "--window", "-4", "4"],
+    ["generate", "V(1)", "I(1/3,0)"],
+    ["classify", "D-(2)"],
+    ["lattice", "--lambda-keys=1/5,1/7,2/7"],
+    ["verify", "3", "0", "2"],
+    ["sweep", "--lambdas=1/2,2", "--ms=0,1"],
+]
+
+
+@pytest.mark.parametrize("argv", JSON_ARGVS, ids=[argv[0] for argv in JSON_ARGVS])
+def test_json_output_is_json_dumps_indent_2(capsys, argv):
+    assert main(["--format", "json", *argv]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert next(iter(payload)) == "schema_version" and payload["schema_version"] == SCHEMA_VERSION
+    assert out == json.dumps(payload, indent=2) + "\n"
 
 
 class _ShortWritesRaw(io.RawIOBase):
