@@ -4,10 +4,11 @@ Every command reads flags only, writes to stdout, and is deterministic:
 identical inputs give byte-identical output.  Exit codes: 0 success, 1 the
 reader closed stdout early (nothing on stderr), 2 bad arguments (one stderr
 line says which), 3 a verification that ran and failed or met an eigenvalue
-outside its candidate set.  ``--format json`` prints exactly
-``json.dumps(payload, indent=2)``, with ``schema_version``; ``--format dot``
-is only meaningful for ``lattice``.  ``main`` alone turns payloads into
-output, written at once, and errors into exit codes.  A command imports
+outside its candidate set.  ``--format dot`` is only for ``lattice``.
+``main`` alone turns results into output, written at once, and errors into
+exit codes; ``--format json`` prints exactly ``json.dumps(envelope,
+indent=2)``, an envelope ``main`` builds whole: ``schema_version``, the
+subcommand as ``command``, then the command's payload.  A command imports
 each layer beyond ``core`` (the tensor rules, the lattice, the oracle, and
 ``json``) only when it uses it, so the cheap commands start fast.
 """
@@ -39,6 +40,7 @@ from .core import (
 
 SCHEMA_VERSION = 1
 MAX_LATTICE_PS_POINTS = 12  # 20,480 sets; each further point doubles the output
+MAX_PRODUCT_SHIFTS = 5000  # per cg or tensor; the slowest at the cap, tensor 'I(1/3,0)' 4999, takes 0.3 s
 
 
 # --- argument converters --------------------------------------------------------
@@ -93,9 +95,18 @@ def _verify_line(verdict) -> str:
     if verdict.passed:
         return f"PASS (k in [{verdict.window[0]},{verdict.window[1]}]: spectra match)"
     segment = verdict.first_mismatch()
-    observed = _spectrum_text((v, mult) for v, mult, _ in segment.eigenvalues)
-    predicted = _spectrum_text(verdict.predicted)
-    return f"FAIL (k={segment.first}: predicted {predicted}; observed {observed})"
+    pairs = tuple((v, mult) for v, mult, _ in segment.eigenvalues)
+    reason = f"predicted {_spectrum_text(verdict.predicted)}; observed {_spectrum_text(pairs)}"
+    if pairs == verdict.predicted:  # only verify_tensor's block-parity count failed
+        parity = (verdict.eps + verdict.m) % 2
+        reason += f"; a summand block has parity {1 - parity}, not {parity}"
+    return f"FAIL (k={segment.first}: {reason})"
+
+
+def _check_shifts(n: int) -> None:
+    """Refuse, before any work, a product that walks more than MAX_PRODUCT_SHIFTS shifts."""
+    if n > MAX_PRODUCT_SHIFTS:
+        raise ValueError(f"the product walks {n} shifts; at most {MAX_PRODUCT_SHIFTS} are walked")
 
 
 # --- commands -------------------------------------------------------------------
@@ -106,10 +117,11 @@ def _verify_line(verdict) -> str:
 
 
 def _cmd_cg(args):
+    _check_shifts(min(args.m1, args.m2) + 1)
     from .tensor import clebsch_gordan
 
     product = clebsch_gordan(args.m1, args.m2)
-    payload = {"command": "cg", "m1": args.m1, "m2": args.m2, "module": _module_to_dict(product)}
+    payload = {"m1": args.m1, "m2": args.m2, "module": _module_to_dict(product)}
     return payload, _line(format_virtual_module, product), True
 
 
@@ -118,7 +130,6 @@ def _cmd_series(args):
 
     structure = ps_structure(args.lam, args.eps)
     payload = {
-        "command": "series",
         "lambda": format_scalar(args.lam),
         "eps": args.eps,
         "kind": structure.kind,
@@ -137,11 +148,13 @@ def _series_lines(p: dict):
 
 
 def _cmd_tensor(args):
+    cls, cone = args.cls, as_cone(args.cls)
+    # V(n) (x) V(m) walks min(n, m) + 1 shifts, any other class m + 1
+    _check_shifts(min(cls.m, args.m) + 1 if cone is ASCone.ZERO else args.m + 1)
     from .tensor import decomposition_to_dict, format_summand, ps_tensor, tensor_with_finite
 
-    cls = args.cls
-    payload = {"command": "tensor", "class": format_class(cls), "m": args.m}
-    if as_cone(cls) is ASCone.FULL_LINE:  # a principal series: its summands are known
+    payload = {"class": format_class(cls), "m": args.m}
+    if cone is ASCone.FULL_LINE:  # a principal series: its summands are known
         summands = ps_tensor(cls.lam, cls.eps, args.m)
         payload.update(decomposition_to_dict(summands))
         return payload, _line(" (+) ".join, map(format_summand, summands)), True
@@ -154,7 +167,6 @@ def _cmd_ktypes(args):
     w = ladder(args.cls)  # read off the window: no K-type of V(m) is listed
     lo, hi = args.window
     payload = {
-        "command": "ktypes",
         "class": format_class(args.cls),
         "parity": w.eps,
         "tail_left": int(w.lo is None),
@@ -176,7 +188,6 @@ def _cmd_generate(args):
 
     points = generated_submodule([VirtualModule.of(cls) for cls in args.classes])
     payload = {
-        "command": "generate",
         "generators": [format_class(c) for c in args.classes],
         "points": [format_point(p) for p in sorted(points, key=point_sort_key)],
     }
@@ -188,7 +199,6 @@ def _cmd_classify(args):
 
     closure_set, index = classify_irreducible(args.cls)
     payload = {
-        "command": "classify",
         "class": format_class(args.cls),
         "closure": [format_point(p) for p in sorted(closure_set, key=point_sort_key)],
         "index": format_scalar(index),
@@ -219,10 +229,9 @@ def _cmd_lattice(args):
     combos = closed_index_sets(points)
     names = [format_point(point) for point in points]
     payload = {
-        "command": "lattice",
         "points": [{"point": name, "orbit": orbit_label(point)} for name, point in zip(names, points)],
         "sets": [list(map(names.__getitem__, combo)) for combo in combos],
-        "covers": list(map(list, index_cover_edges(combos))),
+        "covers": index_cover_edges(combos),
         "specializations": [[format_point(a), format_point(b)] for a, b in specialization_edges(points)],
     }
     render = _lattice_dot if args.format == "dot" else _lattice_text
@@ -269,10 +278,9 @@ def _lattice_dot(p: dict):
 def _cmd_verify(args):
     from .oracle import verdict_to_dict, verify_tensor
 
-    verdict = verify_tensor(args.lam, args.eps, args.m, tuple(args.window) if args.window else None)
-    payload = {"command": "verify"}
-    if args.format == "json":  # the text line formats no per-weight spectrum
-        payload.update(verdict_to_dict(verdict))
+    verdict = verify_tensor(args.lam, args.eps, args.m, args.window)
+    # the text line formats no per-weight spectrum
+    payload = verdict_to_dict(verdict) if args.format == "json" else {}
     return payload, _line(_verify_line, verdict), verdict.passed
 
 
@@ -286,7 +294,6 @@ def _cmd_sweep(args):
     verdicts = [verify_tensor(*combo) for combo in combos]
     failures = sum(1 for v in verdicts if not v.passed)
     payload = {
-        "command": "sweep",
         "results": [{**_run_to_dict(v), "verdict": "PASS" if v.passed else "FAIL"} for v in verdicts],
         "count": len(verdicts),
         "failures": failures,
@@ -431,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.format == "json":
         import json
 
-        text = json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2) + "\n"
+        text = json.dumps({"schema_version": SCHEMA_VERSION, "command": args.command, **payload}, indent=2) + "\n"
     else:
         text = "\n".join([*lines, ""])
     try:
@@ -440,7 +447,3 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return 0 if passed else 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from sl2hc.cli import main
+from sl2hc.cli import MAX_PRODUCT_SHIFTS, main
 from sl2hc.core import (
     DiscreteSeries,
     FinDim,
@@ -355,6 +355,14 @@ USAGE_ERRORS += [
     ("sweep", "--lambdas", "0", "--ms", "1_0"),
     ("lattice", "--lambda-keys", "1e3"),
 ]
+# Products over more than MAX_PRODUCT_SHIFTS shifts, refused before any work.
+USAGE_ERRORS += [
+    ("cg", "5000", "5000"),
+    ("cg", "100000", "100000"),
+    ("tensor", "I(1/3,0)", "5000"),
+    ("tensor", "D+(0)", "100000"),
+    ("tensor", "V(5000)", "5000"),
+]
 
 
 def test_every_usage_error_is_one_line(capsys):
@@ -364,6 +372,15 @@ def test_every_usage_error_is_one_line(capsys):
             assert (code, out) == (2, ""), argv
             assert len(err.splitlines()) == 1 and err.endswith("\n"), (argv, err)
             assert "usage:" not in err, argv
+
+
+def test_products_at_the_shift_cap_run(capsys):
+    assert MAX_PRODUCT_SHIFTS == 5000
+    code, out, err = run(capsys, "cg", "4999", "100000")
+    assert (code, err) == (0, "") and out.count("V(") == 5000
+    assert run(capsys, "tensor", "V(3)", "100000")[:2] == (0, "V(100003) + V(100001) + V(99999) + V(99997)\n")
+    code, out, err = run(capsys, "cg", "5000", "100000")
+    assert (code, out, err) == (2, "", "the product walks 5001 shifts; at most 5000 are walked\n")
 
 
 def test_blanks_around_a_numeral_are_stripped(capsys):

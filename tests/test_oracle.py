@@ -817,7 +817,13 @@ def _first_block(label, shift, flip):
         (
             ["verify", "1/2", "0", "1"],
             _extra_block("extra-other-parity"),
-            "FAIL (k=-9: predicted 1/4:1, 9/4:1; observed 1/4:1, 9/4:1)",
+            "FAIL (k=-9: predicted 1/4:1, 9/4:1; observed 1/4:1, 9/4:1; a summand block has parity 0, not 1)",
+        ),
+        (
+            ["verify", "1/2", "0", "2"],
+            _extra_block("extra-other-parity-even-m"),
+            "FAIL (k=-10: predicted 1/4:1, 9/4:1, 25/4:1; observed 1/4:1, 9/4:1, 25/4:1; "
+            "a summand block has parity 1, not 0)",
         ),
     ],
     ids=lambda value: getattr(value, "label", None),

@@ -133,6 +133,7 @@ def test_json_output_is_json_dumps_indent_2(capsys, argv):
     out = capsys.readouterr().out
     payload = json.loads(out)
     assert next(iter(payload)) == "schema_version" and payload["schema_version"] == SCHEMA_VERSION
+    assert list(payload)[1] == "command" and payload["command"] == argv[0]
     assert out == json.dumps(payload, indent=2) + "\n"
 
 

@@ -154,6 +154,11 @@ def test_lattice_commands_load_no_oracle(argv):
     assert ("json" in loaded) == ("json" in argv)
 
 
+def test_refused_products_load_no_tensor():
+    for argv in (("cg", "5000", "5000"), ("tensor", "I(1/3,0)", "5000"), ("tensor", "V(5000)", "5000")):
+        assert {name for name in _loaded(*argv) if name.startswith("sl2hc")} == {"sl2hc", "sl2hc.cli", "sl2hc.core"}, argv
+
+
 def test_oracle_commands_load_the_oracle():
     for argv in (
         ("verify", "1/2", "0", "1"),
