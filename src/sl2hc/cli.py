@@ -41,6 +41,7 @@ from .core import (
 SCHEMA_VERSION = 1
 MAX_LATTICE_PS_POINTS = 12  # 20,480 sets; each further point doubles the output
 MAX_PRODUCT_SHIFTS = 5000  # per cg or tensor; the slowest at the cap, tensor 'I(1/3,0)' 4999, takes 0.3 s
+MAX_LISTED_WEIGHTS = 8000  # per ktypes or JSON verify; the slowest at the cap, JSON verify 7992 0 1, takes 0.3 s
 
 
 # --- argument converters --------------------------------------------------------
@@ -109,6 +110,14 @@ def _check_shifts(n: int) -> None:
         raise ValueError(f"the product walks {n} shifts; at most {MAX_PRODUCT_SHIFTS} are walked")
 
 
+def _check_listed(window, n: int) -> None:
+    """Refuse, before any entry is built, a window that lists more than MAX_LISTED_WEIGHTS weights."""
+    if n > MAX_LISTED_WEIGHTS:
+        raise ValueError(
+            f"window [{window[0]},{window[1]}] lists {n} weights; at most {MAX_LISTED_WEIGHTS} are listed"
+        )
+
+
 # --- commands -------------------------------------------------------------------
 #
 # Each command computes its result once and returns (payload, text lines,
@@ -166,13 +175,15 @@ def _cmd_tensor(args):
 def _cmd_ktypes(args):
     w = ladder(args.cls)  # read off the window: no K-type of V(m) is listed
     lo, hi = args.window
+    weights = range(lo + (lo - w.eps) % 2, hi + 1, 2)
+    _check_listed(args.window, len(weights))
     payload = {
         "class": format_class(args.cls),
         "parity": w.eps,
         "tail_left": int(w.lo is None),
         "tail_right": int(w.hi is None),
         "window": [lo, hi],
-        "table": [[k, int(w.has_weight(k))] for k in range(lo + (lo - w.eps) % 2, hi + 1, 2)],
+        "table": [[k, int(w.has_weight(k))] for k in weights],
     }
     return payload, _ktypes_lines(payload), True
 
@@ -279,8 +290,10 @@ def _cmd_verify(args):
     from .oracle import verdict_to_dict, verify_tensor
 
     verdict = verify_tensor(args.lam, args.eps, args.m, args.window)
-    # the text line formats no per-weight spectrum
-    payload = verdict_to_dict(verdict) if args.format == "json" else {}
+    payload = {}  # the text line formats no per-weight spectrum
+    if args.format == "json":
+        _check_listed(verdict.window, (verdict.segments[-1].last - verdict.segments[0].first) // 2 + 1)
+        payload = verdict_to_dict(verdict)
     return payload, _line(_verify_line, verdict), verdict.passed
 
 

@@ -231,12 +231,11 @@ def casimir_report(lam: Scalar, eps: int, m: int, window: tuple | None = None) -
         raise ValueError(f"window bounds must be ints, got {window!r}")
     if lo > hi:
         raise ValueError("window must be nonempty")
-    parity = (eps + m) % 2
-    start = lo if (lo - parity) % 2 == 0 else lo + 1
-    if start > hi:
+    weights = range(lo + (lo - eps - m) % 2, hi + 1, 2)
+    if not weights:
         raise ValueError(f"window [{lo},{hi}] holds no K-weight k = eps + m (mod 2)")
     p, q = lam.numerator, lam.denominator
-    band = _diagonals(p, q, m, start)
+    band = _diagonals(p, q, m, weights[0])
     roots, remaining = [], tridiagonal_char_poly(*band)
     for c in eigenvalue_candidates(lam, m):
         cs = c * (q * q)
@@ -246,25 +245,24 @@ def casimir_report(lam: Scalar, eps: int, m: int, window: tuple | None = None) -
             roots.append((c, cs.numerator, mult))
     if len(remaining) != 1:
         raise UnexpectedEigenvalueError(
-            f"unexpected eigenvalue at K-weight {start}: char poly factor {remaining} "
+            f"unexpected eigenvalue at K-weight {weights[0]}: char poly factor {remaining} "
             f"has no roots among the candidates"
         )
-    last = hi - (hi - start) % 2
     eigen = [(c, mult, (1,) if mult == 1 else tridiagonal_jordan_block_sizes(*band, cs, mult)) for c, cs, mult in roots]
     steps = sorted(
         (k, i)
         for i, (_, cs, mult) in enumerate(roots)
         if mult == 2
         for k in (math.isqrt(cs) - 1, -math.isqrt(cs) - 1)
-        if start <= k < last and (k - start) % 2 == 0
+        if k in weights[:-1]
     )
-    first, segments = start, []
+    first, segments = weights[0], []
     for k, i in steps:
         segments.append(Segment(first, k, tuple(eigen)))
         first = k + 2
         c, cs, mult = roots[i]
         eigen[i] = (c, mult, tridiagonal_jordan_block_sizes(*_diagonals(p, q, m, first), cs, mult))
-    segments.append(Segment(first, last, tuple(eigen)))
+    segments.append(Segment(first, weights[-1], tuple(eigen)))
     return CasimirReport(lam, eps, m, (lo, hi), tuple(segments))
 
 
@@ -338,47 +336,34 @@ def verify_tensor(lam: Scalar, eps: int, m: int, window: tuple | None = None) ->
 # --- serialization helpers ----------------------------------------------------
 
 
-def _spectrum_to_list(eigenvalues: tuple) -> list:
-    return [
-        {"value": format_scalar(v), "mult": mult, "jordan": list(sizes)}
-        for v, mult, sizes in eigenvalues
-    ]
-
-
 def _run_to_dict(x) -> dict:
     """The parameters and window shared by a report and a verdict."""
     return {"lambda": format_scalar(x.lam), "eps": x.eps, "m": x.m, "window": list(x.window)}
 
 
-def _weights(segments: tuple):
-    """Each weight of the segments with its segment's spectrum, rendered once."""
-    for seg in segments:
-        spectrum = _spectrum_to_list(seg.eigenvalues)
-        for k in range(seg.first, seg.last + 1, 2):
-            yield k, spectrum
+def _to_dict(x, **verdict) -> dict:
+    """The run of a report or verdict and one entry per weight of its
+    segments, each segment's spectrum rendered once; a verdict passes its
+    ``predicted`` and ``match`` in ``verdict``, the same for every entry."""
+    entries = []
+    for seg in x.segments:
+        spectrum = [
+            {"value": format_scalar(v), "mult": mult, "jordan": list(sizes)} for v, mult, sizes in seg.eigenvalues
+        ]
+        entries += ({"k": k, "dim": x.m + 1, "spectrum": spectrum, **verdict} for k in range(seg.first, seg.last + 1, 2))
+    return {**_run_to_dict(x), "entries": entries}
 
 
 def report_to_dict(r: CasimirReport) -> dict:
-    return {
-        **_run_to_dict(r),
-        "entries": [{"k": k, "dim": r.m + 1, "spectrum": spectrum} for k, spectrum in _weights(r.segments)],
-    }
+    return _to_dict(r)
 
 
 def verdict_to_dict(v: VerificationVerdict) -> dict:
-    """``report_to_dict``, each entry with the prediction and the verdict added."""
+    """The report's entries, each with the prediction and the verdict."""
     predicted = [{"value": format_scalar(val), "mult": mult} for val, mult in v.predicted]
-    report = report_to_dict(v)
-    for entry in report["entries"]:  # each weight's own dict, extended in place
-        entry.update(predicted=predicted, match=v.passed)
-    return {
-        **report,
-        "blocks": [
-            {
-                "casimir": format_scalar(b.casimir),
-                "jordan_profiles": [list(p) for p in b.jordan_profiles],
-            }
-            for b in v.block_observations
-        ],
-        "verdict": "PASS" if v.passed else "FAIL",
-    }
+    blocks = [
+        {"casimir": format_scalar(b.casimir), "jordan_profiles": [list(p) for p in b.jordan_profiles]}
+        for b in v.block_observations
+    ]
+    verdict = "PASS" if v.passed else "FAIL"
+    return {**_to_dict(v, predicted=predicted, match=v.passed), "blocks": blocks, "verdict": verdict}

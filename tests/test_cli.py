@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from sl2hc.cli import MAX_PRODUCT_SHIFTS, main
+from sl2hc.cli import MAX_LISTED_WEIGHTS, MAX_PRODUCT_SHIFTS, main
 from sl2hc.core import (
     DiscreteSeries,
     FinDim,
@@ -363,6 +363,11 @@ USAGE_ERRORS += [
     ("tensor", "D+(0)", "100000"),
     ("tensor", "V(5000)", "5000"),
 ]
+# Listings of more than MAX_LISTED_WEIGHTS weights, refused before any row.
+USAGE_ERRORS += [
+    ("ktypes", "V(2)", "--window", "-8000", "8000"),
+    ("ktypes", "I(1/3,1)", "--window", "-1000000", "1000000"),
+]
 
 
 def test_every_usage_error_is_one_line(capsys):
@@ -381,6 +386,32 @@ def test_products_at_the_shift_cap_run(capsys):
     assert run(capsys, "tensor", "V(3)", "100000")[:2] == (0, "V(100003) + V(100001) + V(99999) + V(99997)\n")
     code, out, err = run(capsys, "cg", "5000", "100000")
     assert (code, out, err) == (2, "", "the product walks 5001 shifts; at most 5000 are walked\n")
+
+
+def test_listings_at_the_weight_cap_run(capsys, monkeypatch):
+    assert MAX_LISTED_WEIGHTS == 8000
+    code, out, err = run(capsys, "ktypes", "V(2)", "--window", "-8000", "7999")
+    assert (code, err) == (0, "") and out.count("k=") == 8000
+    code, out, err = run(capsys, "--format", "json", "verify", "7992", "0", "1")
+    assert (code, err) == (0, "") and len(json.loads(out)["entries"]) == 8000
+    # the default windows of these two hold 8002 and 20008 weights; a text
+    # verify of them still runs, as its cost does not follow the window
+    over = {"7993": 8001, "20000": 20007}
+    for lam, bound in over.items():
+        assert run(capsys, "verify", lam, "0", "1") == (0, f"PASS (k in [-{bound},{bound}]: spectra match)\n", "")
+    from sl2hc import oracle
+    from sl2hc.core import Ladder
+
+    def refuse(*args):
+        raise AssertionError("a listed weight was rendered")
+
+    monkeypatch.setattr(oracle, "verdict_to_dict", refuse)
+    monkeypatch.setattr(Ladder, "has_weight", refuse)
+    message = "window [-8000,8000] lists 8001 weights; at most 8000 are listed\n"
+    assert run(capsys, "ktypes", "V(2)", "--window", "-8000", "8000") == (2, "", message)
+    for lam, bound in over.items():
+        message = f"window [-{bound},{bound}] lists {bound + 1} weights; at most 8000 are listed\n"
+        assert run(capsys, "--format", "json", "verify", lam, "0", "1") == (2, "", message)
 
 
 def test_blanks_around_a_numeral_are_stripped(capsys):

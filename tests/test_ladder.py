@@ -2,11 +2,12 @@
 
 ``ladder`` is pinned against hand-written windows here; the frozen K-type
 values in ``test_core.py`` stay the independent check of what it implies.
-The dense reference (``casimir_matrix``, then ``char_poly`` and
-``root_multiplicity`` on the matrix cleared of denominators) is run on the
-bounded ladder shapes D+(l), D-(l) and V(m1), tensored with V(m), and
-compared with ``ds_tensor`` and ``clebsch_gordan``: each weight's Casimir
-multiplicities must be those of the predicted classes' K-types.  On every
+The dense reference (``casimir_matrix``, then ``_dense.dense_spectrum``:
+``char_poly`` and ``root_multiplicity`` on the matrix cleared of
+denominators) is run on the bounded ladder shapes D+(l), D-(l) and V(m1),
+tensored with V(m), and compared with ``ds_tensor`` and ``clebsch_gordan``:
+each weight's Casimir multiplicities must be those of the predicted
+classes' K-types.  On every
 ladder shape, I(lam, eps) included, the identities of the ``oracle``
 docstring are checked from the weight-space maps of ``_ladder_map``.
 """
@@ -40,7 +41,7 @@ from sl2hc.core import (
     principal_is_irreducible,
 )
 from sl2hc.lattice import class_closure, classify_irreducible
-from sl2hc.linalg import char_poly, clear_denominators, mat_mul, root_multiplicity
+from sl2hc.linalg import char_poly, clear_denominators, mat_mul
 from sl2hc.oracle import (
     FinDimRealization,
     PrincipalSeriesRealization,
@@ -53,6 +54,8 @@ from sl2hc.oracle import (
     reducibility_points,
 )
 from sl2hc.tensor import clebsch_gordan, ds_tensor, ps_tensor, tensor_with_finite
+
+from _dense import dense_spectrum, predicted_counts
 
 
 def test_named_realizations_are_ladders():
@@ -185,17 +188,6 @@ def test_reducibility_points_are_the_ladders_own_zeros():
                 assert (w.e_coeff(k) if gen == "E'" else w.f_coeff(k)) == 0
 
 
-def _predicted(module, k: int) -> dict:
-    """Casimir value -> multiplicity at weight k, from a module's classes."""
-    counts: dict = {}
-    for cls, mult in module.items():
-        n = mult * ktype_function(cls).value(k)
-        if n:
-            value = casimir_value(cls)
-            counts[value] = counts.get(value, 0) + n
-    return counts
-
-
 def _compare(left: Ladder, m: int, module, bound: int) -> int:
     """Dense spectra of left (x) V(m) on |k| <= bound against ``module``;
     returns the number of nonzero weight spaces compared."""
@@ -203,17 +195,12 @@ def _compare(left: Ladder, m: int, module, bound: int) -> int:
     candidates = eigenvalue_candidates(left.lam, m)
     seen = 0
     for k in range(-bound, bound + 1):
-        predicted = _predicted(module, k)
+        predicted = predicted_counts(module, k)
         if not any(left.has_weight(k - b) for b in range(-m, m + 1, 2)):
             assert predicted == {}, k
             continue
-        mint, scale = clear_denominators(casimir_matrix(left, right, k), extra=candidates)
-        remaining, observed = char_poly(mint), {}
-        for c in candidates:
-            mult, remaining = root_multiplicity(remaining, int(c * scale))
-            if mult:
-                observed[c] = mult
-        assert len(remaining) == 1 and observed == predicted, (left, m, k)
+        observed = {c: mult for c, mult, _ in dense_spectrum(casimir_matrix(left, right, k), candidates)}
+        assert observed == predicted, (left, m, k)
         seen += 1
     return seen
 

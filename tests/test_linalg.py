@@ -18,6 +18,8 @@ from sl2hc.linalg import (
     tridiagonal_jordan_block_sizes,
 )
 
+from _dense import band_rows
+
 
 def test_identity_and_mat_mul():
     i2 = identity(2)
@@ -107,22 +109,12 @@ def test_char_poly_trace_det(rows):
     assert poly[2] == rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
 
 
-def _dense(diag, upper, lower):
-    n = len(diag)
-    dense = [[0] * n for _ in range(n)]
-    for i in range(n):
-        dense[i][i] = diag[i]
-        if i + 1 < n:
-            dense[i][i + 1], dense[i + 1][i] = upper[i], lower[i]
-    return dense
-
-
 def _check_jordan_at_every_root(diag, upper, lower, poly, shifts=None):
     """At every root of multiplicity 1 or 2 among ``shifts`` (by default the
     diagonal's values) the tridiagonal sizes are the dense ones, except that
     two blocks are refused where both off-diagonals hold two or more zeros,
     as the minors do not prove them there."""
-    dense = _dense(diag, upper, lower)
+    dense = band_rows(diag, upper, lower)
     for c in set(diag) if shifts is None else shifts:
         mult, _ = root_multiplicity(poly, c)
         if 1 <= mult <= 2:
@@ -156,7 +148,7 @@ def test_leading_minors_match_dense_determinants(case):
     minors of the reversed band), is the determinant of its dense block."""
     diag, upper, lower, c = case
     n = len(diag)
-    shifted = _dense([d - c for d in diag], upper, lower)
+    shifted = band_rows([d - c for d in diag], upper, lower)
     theta = linalg._leading_minors(diag, upper, lower, c)
     phi = linalg._leading_minors(diag[::-1], upper[::-1], lower[::-1], c)
     for i in range(n + 1):
@@ -183,7 +175,7 @@ def _det(rows):
 def test_tridiagonal_routines_match_dense(diagonals):
     diag, upper, lower = diagonals
     poly = tridiagonal_char_poly(diag, upper, lower)
-    assert poly == char_poly(_dense(diag, upper, lower))
+    assert poly == char_poly(band_rows(diag, upper, lower))
     _check_jordan_at_every_root(diag, upper, lower, poly)
 
 
@@ -252,7 +244,7 @@ def test_tridiagonal_jordan_sizes_take_minors_only_where_an_off_diagonal_has_a_z
     leading_minors = linalg._leading_minors
     monkeypatch.setattr(linalg, "_leading_minors", counting_minors)
     mult, _ = root_multiplicity(tridiagonal_char_poly(diag, upper, lower), 0)
-    assert jordan_block_sizes(_dense(diag, upper, lower), 0, mult) == sizes
+    assert jordan_block_sizes(band_rows(diag, upper, lower), 0, mult) == sizes
     if mult <= 2:
         assert tridiagonal_jordan_block_sizes(diag, upper, lower, 0, mult) == sizes
         assert len(calls) == sweeps

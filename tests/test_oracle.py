@@ -8,9 +8,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sl2hc.core import FinDim, Ladder, PrincipalIrr, casimir_value, ktype_function, principal_is_irreducible
+from sl2hc.core import FinDim, Ladder, PrincipalIrr, principal_is_irreducible
 from sl2hc.linalg import (
-    char_poly,
     clear_denominators,
     jordan_block_sizes,
     rank,
@@ -37,6 +36,8 @@ from sl2hc.oracle import (
     _ladder_map,
 )
 from sl2hc.tensor import Irr, LengthTwo, block_parameter, decomposition_semisimplification, ps_tensor
+
+from _dense import band_rows, dense_spectrum, predicted_counts
 
 
 def _weights(report):
@@ -211,30 +212,6 @@ def test_verify_tensor_property(lam, eps, m):
     assert verify_tensor(lam, eps, m).passed
 
 
-def _band_rows(diag, upper, lower):
-    n = len(diag)
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = diag[i]
-        if i + 1 < n:
-            rows[i][i + 1] = upper[i]
-            rows[i + 1][i] = lower[i]
-    return rows
-
-
-def _dense_spectrum(mat, candidates):
-    mint, scale = clear_denominators(mat, extra=candidates)
-    remaining = char_poly(mint)
-    eigen = []
-    for c in candidates:
-        cs = int(c * scale)
-        mult, remaining = root_multiplicity(remaining, cs)
-        if mult:
-            eigen.append((c, mult, jordan_block_sizes(mint, cs, mult)))
-    assert len(remaining) == 1
-    return tuple(eigen)
-
-
 @st.composite
 def _weight_cases(draw):
     """(lam, eps, m, k) over the default window; a third are reducible integral lam."""
@@ -257,11 +234,11 @@ def test_banded_oracle_matches_dense_reference(case):
     lam, eps, m, k = case
     band = _diagonals(lam.numerator, lam.denominator, m, k)
     mat = casimir_matrix(PrincipalSeriesRealization(lam, eps), FinDimRealization(m), k)
-    assert _band_rows(*band) == [[x * lam.denominator ** 2 for x in row] for row in mat]
+    assert band_rows(*band) == [[x * lam.denominator ** 2 for x in row] for row in mat]
     candidates = sorted({(lam + m - 2 * j) ** 2 for j in range(m + 1)})
     ((wk, dim, eigenvalues),) = _weights(casimir_report(lam, eps, m, (k, k)))
     assert (wk, dim) == (k, len(mat))
-    assert eigenvalues == _dense_spectrum(mat, candidates)
+    assert eigenvalues == dense_spectrum(mat, candidates)
 
 
 def test_banded_oracle_takes_all_three_jordan_paths(monkeypatch):
@@ -281,14 +258,14 @@ def test_banded_oracle_takes_all_three_jordan_paths(monkeypatch):
     assert not all(upper) and all(lower)
     candidates = eigenvalue_candidates(Fraction(1), 2)
     ((_, _, eigenvalues),) = _weights(casimir_report(1, 0, 2, (-2, -2)))
-    assert eigenvalues == _dense_spectrum(_band_rows(diag, upper, lower), candidates)
+    assert eigenvalues == dense_spectrum(band_rows(diag, upper, lower), candidates)
     assert eigenvalues[0] == (Fraction(1), 2, (2,)) and calls == []
     # both ladder zeros fall inside the k = 0 space: the leading and the
     # trailing minors decide
     diag, upper, lower = _diagonals(1, 1, 2, 0)
     assert not all(upper) and not all(lower)
     ((_, _, eigenvalues),) = _weights(casimir_report(1, 0, 2, (0, 0)))
-    assert eigenvalues == _dense_spectrum(_band_rows(diag, upper, lower), candidates)
+    assert eigenvalues == dense_spectrum(band_rows(diag, upper, lower), candidates)
     assert len(calls) == 2
     # no Casimir value repeats more than twice, so a higher multiplicity,
     # given directly, is refused before any minor: J2 + J2 at 0
@@ -310,7 +287,7 @@ def test_jordan_sizes_at_every_double_root_around_every_break_match_dense():
                     for k in (b, b + 2):
                         band = _diagonals(lam, 1, m, k)
                         assert band[1].count(0) <= 1 and band[2].count(0) <= 1
-                        poly, dense = tridiagonal_char_poly(*band), _band_rows(*band)
+                        poly, dense = tridiagonal_char_poly(*band), band_rows(*band)
                         for c in eigenvalue_candidates(Fraction(lam), m):
                             if root_multiplicity(poly, c.numerator)[0] == 2:
                                 sizes = jordan_block_sizes(dense, c.numerator, 2)
@@ -345,7 +322,7 @@ def test_casimir_report_equals_each_weight_factored_alone(case):
 def _dense_weight(left, right, k, candidates):
     """Weight k of left (x) right taken alone on the dense ``casimir_matrix``."""
     mat = casimir_matrix(left, right, k)
-    return k, len(mat), _dense_spectrum(mat, candidates)
+    return k, len(mat), dense_spectrum(mat, candidates)
 
 
 def _dense_entries(lam, eps, m, window):
@@ -613,7 +590,7 @@ def test_diagonals_frozen_at_one_half():
     band = _diagonals(1, 2, 2, 0)
     assert band == ([1, 33, 1], [-12, 8], [8, -12])
     mat = casimir_matrix(PrincipalSeriesRealization(Fraction(1, 2), 0), FinDimRealization(2), 0)
-    assert _band_rows(*band) == [[4 * x for x in row] for row in mat]
+    assert band_rows(*band) == [[4 * x for x in row] for row in mat]
     # (x - 1)(x - 9)(x - 25): the candidates 1/4, 9/4, 25/4 at scale 4
     assert tridiagonal_char_poly(*band) == [1, -35, 259, -225]
 
@@ -707,10 +684,7 @@ def _reference_verdict(lam, eps, m, window):
     (k, dim, eigenvalues, predicted, match) per weight, the block
     observations and the verdict."""
     summands = ps_tensor(lam, eps, m)
-    parts = [
-        (casimir_value(cls), ktype_function(cls), mult)
-        for cls, mult in decomposition_semisimplification(summands).items()
-    ]
+    module = decomposition_semisimplification(summands)
     candidates = sorted({(lam + m - 2 * j) ** 2 for j in range(m + 1)})
     lo, hi = window or default_window(lam, eps, m)
     left, right = PrincipalSeriesRealization(lam, eps), FinDimRealization(m)
@@ -721,11 +695,7 @@ def _reference_verdict(lam, eps, m, window):
         if (k - eps - m) % 2:
             continue
         _, dim, eigenvalues = _dense_weight(left, right, k, candidates)
-        predicted = {}
-        for value, ktf, mult in parts:
-            count = mult * ktf.value(k)
-            if count:
-                predicted[value] = predicted.get(value, 0) + count
+        predicted = predicted_counts(module, k)
         observed = {value: mult for value, mult, _ in eigenvalues}
         entries.append((k, dim, eigenvalues, tuple(sorted(predicted.items())), observed == predicted))
         for value, _, sizes in eigenvalues:

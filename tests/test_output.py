@@ -11,9 +11,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sl2hc.cli import SCHEMA_VERSION, main
-from sl2hc.core import principal_is_irreducible
+from sl2hc.core import format_scalar, principal_is_irreducible
+from sl2hc.oracle import casimir_report, report_to_dict, verdict_to_dict, verify_tensor
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 KEYS = ("1/5", "1/7", "2/7", "1/9", "2/9")
@@ -263,3 +265,54 @@ def _digest(capsys, fmt: str, argvs: list) -> str:
 @pytest.mark.parametrize("command, fmt", sorted(CLASS_SHA256))
 def test_class_command_output_bytes_are_pinned(capsys, command, fmt):
     assert _digest(capsys, fmt, CLASS_ARGVS[command]) == CLASS_SHA256[command, fmt]
+
+
+# --- the oracle's JSON dicts, which no command prints whole -----------------------------
+
+REPORT_LAMBDAS = (Fraction(0), Fraction(1, 2), Fraction(3), Fraction(-7, 3), Fraction(2))
+
+
+def _report_windows(eps: int, m: int) -> list:
+    """Default, wide, one-weight, and a window whose ends are not weights."""
+    k = eps + m
+    return [None, (-30, 30), (k + 2, k + 2), (k - 5, k + 7)]
+
+
+REPORT_CASES = [
+    (lam, eps, m, window)
+    for lam in REPORT_LAMBDAS
+    for eps in (0, 1)
+    for m in range(4)
+    for window in _report_windows(eps, m)
+]
+
+# sha256 over "<case>\n<json.dumps(report_to_dict(casimir_report(*case)), indent=2)>\n"
+# over REPORT_CASES; recorded while verdict_to_dict still extended report_to_dict's entries
+REPORT_SHA256 = "2d26916cb84451b44d7198e26d468589ebfe0203152c84faa60407f713741936"
+
+
+def test_report_dict_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for case in REPORT_CASES:
+        text = json.dumps(report_to_dict(casimir_report(*case)), indent=2)
+        digest.update(f"{case}\n{text}\n".encode("ascii"))
+    assert digest.hexdigest() == REPORT_SHA256
+
+
+@given(
+    st.sampled_from(REPORT_LAMBDAS + (Fraction(-1), Fraction(5, 2), Fraction(1, 5))),
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=-14, max_value=14),
+    st.integers(min_value=0, max_value=20),
+)
+@settings(max_examples=60, deadline=None)
+def test_verdict_entries_are_report_entries_with_the_verdict(lam, eps, m, lo, width):
+    window = (lo, lo + width)
+    assume(width > 0 or (lo - eps - m) % 2 == 0)  # else the window holds no weight
+    verdict = verify_tensor(lam, eps, m, window)
+    report, v = report_to_dict(casimir_report(lam, eps, m, window)), verdict_to_dict(verdict)
+    predicted = [{"value": format_scalar(val), "mult": mult} for val, mult in verdict.predicted]
+    entries = [{**entry, "predicted": predicted, "match": verdict.passed} for entry in report["entries"]]
+    # compared as text, so that the key order counts too
+    assert json.dumps(dict(list(v.items())[:5])) == json.dumps({**report, "entries": entries})
