@@ -5,8 +5,8 @@ identical inputs give byte-identical output.  Exit codes: 0 success, 1 the
 reader closed stdout early (nothing on stderr), 2 bad arguments (one stderr
 line says which), 3 a verification that ran and failed or met an eigenvalue
 outside its candidate set.  ``--format dot`` is only for ``lattice``.
-``main`` alone turns results into output, written at once, and errors into
-exit codes; ``--format json`` prints exactly ``json.dumps(envelope,
+``main`` alone turns results into output, streamed in blocks, and errors
+into exit codes; ``--format json`` prints exactly ``json.dumps(envelope,
 indent=2)``, an envelope ``main`` builds whole: ``schema_version``, the
 subcommand as ``command``, then the command's payload.  A command imports
 each layer beyond ``core`` (the tensor rules, the lattice, the oracle, and
@@ -25,6 +25,7 @@ from .core import (
     ASCone,
     UnexpectedEigenvalueError,
     VirtualModule,
+    _weight_range,
     as_cone,
     as_scalar,
     check_highest_weight,
@@ -42,6 +43,7 @@ SCHEMA_VERSION = 1
 MAX_LATTICE_PS_POINTS = 12  # 20,480 sets; each further point doubles the output
 MAX_PRODUCT_SHIFTS = 5000  # per cg or tensor; the slowest at the cap, tensor 'I(1/3,0)' 4999, takes 0.3 s
 MAX_LISTED_WEIGHTS = 8000  # per ktypes or JSON verify; the slowest at the cap, JSON verify 7992 0 1, takes 0.3 s
+_BLOCK = 1 << 17  # characters per stdout write: one write for most outputs, little memory for a large one
 
 
 # --- argument converters --------------------------------------------------------
@@ -175,7 +177,7 @@ def _cmd_tensor(args):
 def _cmd_ktypes(args):
     w = ladder(args.cls)  # read off the window: no K-type of V(m) is listed
     lo, hi = args.window
-    weights = range(lo + (lo - w.eps) % 2, hi + 1, 2)
+    weights = _weight_range(lo, hi, w.eps)
     _check_listed(args.window, len(weights))
     payload = {
         "class": format_class(args.cls),
@@ -287,13 +289,13 @@ def _lattice_dot(p: dict):
 
 
 def _cmd_verify(args):
-    from .oracle import verdict_to_dict, verify_tensor
+    from .oracle import default_window, verdict_to_dict, verify_tensor
 
+    if args.format == "json":  # the text line formats no per-weight spectrum
+        window = args.window or default_window(args.lam, args.eps, args.m)
+        _check_listed(window, len(_weight_range(*window, args.eps + args.m)))
     verdict = verify_tensor(args.lam, args.eps, args.m, args.window)
-    payload = {}  # the text line formats no per-weight spectrum
-    if args.format == "json":
-        _check_listed(verdict.window, (verdict.segments[-1].last - verdict.segments[0].first) // 2 + 1)
-        payload = verdict_to_dict(verdict)
+    payload = verdict_to_dict(verdict) if args.format == "json" else {}
     return payload, _line(_verify_line, verdict), verdict.passed
 
 
@@ -408,8 +410,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_stdout(text: str) -> None:
-    """Write all of ``text`` to stdout, or raise.
+def _json_chunks(envelope: dict):
+    """The chunks that ``json.dumps(envelope, indent=2)`` joins, then a newline."""
+    import json
+
+    yield from json.JSONEncoder(indent=2).iterencode(envelope)
+    yield "\n"
+
+
+def _blocks(chunks):
+    """The text chunks joined into blocks of about _BLOCK characters, so that
+    no more of the output than that is held at once."""
+    block, size = [], 0
+    for chunk in chunks:
+        block.append(chunk)
+        size += len(chunk)
+        if size >= _BLOCK:
+            yield "".join(block)
+            block, size = [], 0
+    yield "".join(block)
+
+
+def _write_stdout(chunks) -> None:
+    """Write the text chunks to stdout, block by block, or raise.
 
     A buffered binary layer writes everything or raises.  Under
     PYTHONUNBUFFERED the text layer writes through to a raw file and drops
@@ -421,14 +444,15 @@ def _write_stdout(text: str) -> None:
     """
     out = sys.stdout
     raw = getattr(out, "buffer", None)
-    if not isinstance(raw, io.RawIOBase):
-        out.write(text)
+    for text in _blocks(chunks):
+        if not isinstance(raw, io.RawIOBase):
+            out.write(text)
+            continue
         out.flush()
-        return
+        data = memoryview(text.encode(out.encoding, out.errors))
+        while data:
+            data = data[raw.write(data) or 0 :]
     out.flush()
-    data = memoryview(text.encode(out.encoding, out.errors))
-    while data:
-        data = data[raw.write(data) or 0 :]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -449,13 +473,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAIL ({exc})", file=sys.stderr)
         return 3
     if args.format == "json":
-        import json
-
-        text = json.dumps({"schema_version": SCHEMA_VERSION, "command": args.command, **payload}, indent=2) + "\n"
+        chunks = _json_chunks({"schema_version": SCHEMA_VERSION, "command": args.command, **payload})
     else:
-        text = "\n".join([*lines, ""])
+        chunks = (line + "\n" for line in lines)
     try:
-        _write_stdout(text)
+        _write_stdout(chunks)
     except BrokenPipeError:  # as the Python docs' SIGPIPE note: silence the exit flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1

@@ -214,6 +214,11 @@ IrreducibleClass = FinDim | DiscreteSeries | PrincipalIrr
 # --- K-weight ladders ---------------------------------------------------------
 
 
+def _weight_range(lo: int, hi: int, parity: int) -> range:
+    """The weights k = parity (mod 2) of the window [lo, hi], ascending."""
+    return range(lo + (lo - parity) % 2, hi + 1, 2)
+
+
 class Ladder(Record):
     """The K-weight ladder of I(lam, eps), cut to the window lo <= k <= hi.
 
@@ -549,8 +554,7 @@ class KTypeFunction(Record):
         """Explicit values on the window [lo, hi] (parity-class points only)."""
         if lo > hi:
             raise ValueError("window must be nonempty")
-        start = lo if (lo - self.parity) % 2 == 0 else lo + 1
-        return {k: self.value(k) for k in range(start, hi + 1, 2)}
+        return {k: self.value(k) for k in _weight_range(lo, hi, self.parity)}
 
     @property
     def is_finite(self) -> bool:

@@ -11,11 +11,11 @@ The resulting "class points" are
 * one point per principal series translation class, keyed by the canonical
   base parameter lam0 in [0, 1/2] (parity collapses when 2*lam0 is integral).
 
-A set of class points is realizable as a thick tensor-submodule exactly when
-it contains ``Fd`` whenever it meets a discrete series family; that single
-constraint generates the whole lattice, its specialization topology, and an
-injective classification of the irreducible classes by (closure of the
-generic point, integer shift from the base parameter).
+A set of class points is a thick tensor-submodule exactly when it is closed
+under ``closure`` (Fd whenever a discrete series family), a union of point
+closures, so the closed sets are the down-sets of the specialization order
+(Birkhoff's theorem); the points also classify the irreducibles injectively
+by (closure of the generic point, integer shift from the base parameter).
 """
 
 from __future__ import annotations
@@ -228,26 +228,26 @@ def irreducible_closed_sets(lambdas: Iterable[Scalar]) -> list:
 
 def closed_index_sets(points: list) -> list:
     """Closed sets over distinct points as index tuples, by size and then
-    lexicographically (over sorted points, the order of the sorted keys): as
-    ``closure`` adds only Fd, a tuple is closed iff it holds the Fd index or
-    no index of a point whose closure holds Fd (C+ and C-)."""
-    fd = points.index(FD_POINT) if FD_POINT in points else -1
-    poles = {i for i, p in enumerate(points) if p != FD_POINT and FD_POINT in closure({p})}
-    return [
-        combo
-        for size in range(len(points) + 1)
-        for combo in itertools.combinations(range(len(points)), size)
-        if fd in combo or poles.isdisjoint(combo)
-    ]
+    lexicographically (over sorted points, the order of the sorted keys): the
+    down-sets, which hold each point that the closure of one of theirs adds."""
+    index, adders = {p: i for i, p in enumerate(points)}, {}
+    for i, p in enumerate(points):
+        for q in closure({p}) - {p}:  # i adds q, whose index is -1 off the window
+            adders.setdefault(index.get(q, -1), set()).add(i)
+    n = len(points)
+    combos = itertools.chain.from_iterable(map(itertools.combinations, itertools.repeat(range(n)), range(n + 1)))
+    for j, sources in adders.items():
+        combos = [c for c in combos if j in c or sources.isdisjoint(c)]
+    return list(combos)
 
 
 def index_cover_edges(sets: list) -> list:
     """Hasse covers among distinct sets of point indices, on integer masks.
 
-    Within a window every cover adds exactly one point: adding Fd first is
-    always valid, so larger gaps always factor through an intermediate set.
-    The covers are therefore the pairs of the given sets that differ by one
-    point, found by one lookup per set and missing point.
+    Closed sets are down-sets (see ``closed_index_sets``), and between two,
+    S < T, S plus a minimal point of T - S is a third, so every cover adds
+    one point.  The covers are therefore the pairs of the given sets that
+    differ by one point, found by one lookup per set and missing point.
     """
     masks = [sum(map((1).__lshift__, s)) for s in sets]
     index = {mask: i for i, mask in enumerate(masks)}

@@ -60,6 +60,7 @@ from .core import (
     Scalar,
     UnexpectedEigenvalueError,
     _is_int,
+    _weight_range,
     as_scalar,
     check_highest_weight,
     check_parity,
@@ -231,7 +232,7 @@ def casimir_report(lam: Scalar, eps: int, m: int, window: tuple | None = None) -
         raise ValueError(f"window bounds must be ints, got {window!r}")
     if lo > hi:
         raise ValueError("window must be nonempty")
-    weights = range(lo + (lo - eps - m) % 2, hi + 1, 2)
+    weights = _weight_range(lo, hi, eps + m)
     if not weights:
         raise ValueError(f"window [{lo},{hi}] holds no K-weight k = eps + m (mod 2)")
     p, q = lam.numerator, lam.denominator

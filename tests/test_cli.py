@@ -414,6 +414,20 @@ def test_listings_at_the_weight_cap_run(capsys, monkeypatch):
         assert run(capsys, "--format", "json", "verify", lam, "0", "1") == (2, "", message)
 
 
+def test_json_verify_refuses_a_long_listing_before_the_oracle_runs(capsys, monkeypatch):
+    from sl2hc import oracle
+
+    def refuse(*args):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(oracle, "verify_tensor", refuse)
+    message = "window [-100000,100000] lists 100001 weights; at most 8000 are listed\n"
+    argv = ("--format", "json", "verify", "7/5", "0", "512", "--window", "-100000", "100000")
+    assert run(capsys, *argv) == (2, "", message)
+    message = "window [-8001,8001] lists 8002 weights; at most 8000 are listed\n"  # the default window
+    assert run(capsys, "--format", "json", "verify", "7993", "0", "1") == (2, "", message)
+
+
 def test_blanks_around_a_numeral_are_stripped(capsys):
     assert run(capsys, "cg", " 3", "1 ") == run(capsys, "cg", "3", "1")
     assert run(capsys, "series", " -7/3 ", "0") == run(capsys, "series", "--", "-7/3", "0")

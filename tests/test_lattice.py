@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -363,6 +364,42 @@ def _window_points(draw) -> list:
     return draw(st.permutations(fixed + ps + repeats))
 
 
+@given(_window_points())
+@settings(max_examples=200)
+def test_closure_is_the_union_of_its_point_closures(points):
+    """The condition of Birkhoff's theorem: the closed sets are then the
+    down-sets of the specialization order."""
+    assert closure(points) == frozenset().union(*(closure({p}) for p in points))
+
+
+def _hol_forces_antihol(points):
+    """Another closure: C+ adds C-, which adds Fd."""
+    pts = set(points)
+    if HOL_POINT in pts:
+        pts.add(ANTIHOL_POINT)
+    return closure(pts)
+
+
+def _ps_zero_forces_hol(points):
+    """Another closure: Ps(0,*) adds C+, which adds Fd."""
+    pts = set(points)
+    if _PS_POOL[0] in pts:
+        pts.add(HOL_POINT)
+    return closure(pts)
+
+
+@pytest.mark.parametrize("rule", [_hol_forces_antihol, _ps_zero_forces_hol])
+@given(points=_window_points())
+@settings(max_examples=100, deadline=None)
+def test_structural_lattice_follows_closure(rule, points):
+    """The enumeration reads the rule off ``closure`` alone.  The patch
+    replaces ``sl2hc.lattice.closure``; the rules call this module's own."""
+    with mock.patch("sl2hc.lattice.closure", rule):
+        sets = enumerate_submodule_sets(points)
+        assert sets == _enumerate_reference(points)
+        assert cover_edges(sets) == _cover_reference(sets)
+
+
 @given(_window_points(), st.randoms(use_true_random=False))
 @settings(max_examples=200, deadline=None)
 def test_structural_lattice_matches_brute_force(points, rnd):
@@ -381,6 +418,12 @@ def test_structural_counts_closed_form(p):
     covers = cover_edges(sets)
     assert (len(sets), len(covers)) == (5 * 2**p, 5 * 2**p + 5 * p * 2**p // 2)
     assert structural_counts(p) == (len(sets), len(covers))
+    # the product of the down-sets of {Fd, C+, C-} and the Boolean lattice on
+    # the p points: a cover of the product is a cover in one factor
+    poles, ps = enumerate_submodule_sets(points[:3]), enumerate_submodule_sets(points[3:])
+    n1, c1 = len(poles), len(cover_edges(poles))
+    n2, c2 = len(ps), len(cover_edges(ps))
+    assert structural_counts(p) == (n1 * n2, c1 * n2 + n1 * c2)
     assert all(len(sets[j]) == len(sets[i]) + 1 for i, j in covers)
 
 

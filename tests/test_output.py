@@ -1,5 +1,5 @@
-"""How ``sl2hc.cli.main`` writes: pinned bytes, canonical JSON, one write, and a
-reader that closes the pipe early."""
+"""How ``sl2hc.cli.main`` writes: pinned bytes, canonical JSON, one write for a
+small output, blocks for a large one, and a reader that closes the pipe early."""
 
 import hashlib
 import io
@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -114,6 +115,29 @@ def test_main_writes_stdout_once(monkeypatch, fmt):
     assert main(_lattice_argv(3, fmt)) == 0
     assert fake.writes == 1
     assert hashlib.sha256(fake.getvalue().encode()).hexdigest() == LATTICE_SHA256[3, fmt]
+
+
+class _DiscardingStdout(io.TextIOBase):
+    """A text sink that keeps only the count of the characters it is given."""
+
+    size = 0
+
+    def write(self, text: str) -> int:
+        self.size += len(text)
+        return len(text)
+
+
+def test_main_streams_a_large_output(monkeypatch):
+    """At its peak, a JSON verify holds less memory than it writes."""
+    sink = _DiscardingStdout()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        assert main(["--format", "json", "verify", "7/5", "0", "128"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 3_000_000 and peak < sink.size
 
 
 JSON_ARGVS = [
