@@ -2,8 +2,9 @@
 
 Every command reads flags only, writes to stdout, and is deterministic:
 identical inputs give byte-identical output.  Exit codes: 0 success, 1 the
-reader closed stdout early (nothing on stderr), 2 bad arguments (one stderr
-line says which), 3 a verification that ran and failed or met an eigenvalue
+reader closed stdout early (nothing on stderr), 2 bad arguments or arguments
+past a cap, which ``_admit`` checks before the work (one stderr line says
+which), 3 a verification that ran and failed or met an eigenvalue
 outside its candidate set.  ``--format dot`` is only for ``lattice``.
 ``main`` alone turns results into output, streamed in blocks, and errors
 into exit codes; ``--format json`` prints exactly ``json.dumps(envelope,
@@ -43,6 +44,9 @@ SCHEMA_VERSION = 1
 MAX_LATTICE_PS_POINTS = 12  # 20,480 sets; each further point doubles the output
 MAX_PRODUCT_SHIFTS = 5000  # per cg or tensor; the slowest at the cap, tensor 'I(1/3,0)' 4999, takes 0.3 s
 MAX_LISTED_WEIGHTS = 8000  # per ktypes or JSON verify; the slowest at the cap, JSON verify 7992 0 1, takes 0.3 s
+MAX_ORACLE_M = 1024  # per verify or sweep row; the oracle's cost grows about as m^3 (verify 7/5 0 1024: 1.7 s)
+MAX_LAMBDA_BITS = 64  # per numerator or denominator of a verified lam; at both caps verify takes about 23 s
+MAX_SWEEP_ROWS = 1000  # verifications per sweep, |lambdas| x 2 x |ms| after deduplication
 _BLOCK = 1 << 17  # characters per stdout write: one write for most outputs, little memory for a large one
 
 
@@ -106,18 +110,26 @@ def _verify_line(verdict) -> str:
     return f"FAIL (k={segment.first}: {reason})"
 
 
-def _check_shifts(n: int) -> None:
-    """Refuse, before any work, a product that walks more than MAX_PRODUCT_SHIFTS shifts."""
-    if n > MAX_PRODUCT_SHIFTS:
-        raise ValueError(f"the product walks {n} shifts; at most {MAX_PRODUCT_SHIFTS} are walked")
+def _admit(n, cap: int, refusal: str, *fields) -> None:
+    """Refuse, before any work, arguments that ask for n > cap, with the line
+    ``refusal.format(*fields, n=n, cap=cap)``.  A range of weights is counted
+    from its ends, as len() overflows past sys.maxsize."""
+    if isinstance(n, range):
+        n = (n.stop - n.start + n.step - 1) // n.step
+    if n > cap:
+        raise ValueError(refusal.format(*fields, n=n, cap=cap))
 
 
-def _check_listed(window, n: int) -> None:
-    """Refuse, before any entry is built, a window that lists more than MAX_LISTED_WEIGHTS weights."""
-    if n > MAX_LISTED_WEIGHTS:
-        raise ValueError(
-            f"window [{window[0]},{window[1]}] lists {n} weights; at most {MAX_LISTED_WEIGHTS} are listed"
-        )
+def _admit_oracle(lams, ms, lam_flag: str, m_flag: str) -> None:
+    """Refuse, before the oracle loads, an m or a lam past its caps."""
+    _admit(max(ms), MAX_ORACLE_M, "argument {0}: m={n} is above the cap; at most m={cap} is verified", m_flag)
+    bits = max(max(lam.numerator.bit_length(), lam.denominator.bit_length()) for lam in lams)
+    refusal = "argument {0}: a numerator or denominator of {n} bits; at most {cap} bits are verified"
+    _admit(bits, MAX_LAMBDA_BITS, refusal, lam_flag)
+
+
+_SHIFTS = "the product walks {n} shifts; at most {cap} are walked"
+_LISTED = "window [{0},{1}] lists {n} weights; at most {cap} are listed"
 
 
 # --- commands -------------------------------------------------------------------
@@ -128,7 +140,7 @@ def _check_listed(window, n: int) -> None:
 
 
 def _cmd_cg(args):
-    _check_shifts(min(args.m1, args.m2) + 1)
+    _admit(min(args.m1, args.m2) + 1, MAX_PRODUCT_SHIFTS, _SHIFTS)
     from .tensor import clebsch_gordan
 
     product = clebsch_gordan(args.m1, args.m2)
@@ -161,7 +173,7 @@ def _series_lines(p: dict):
 def _cmd_tensor(args):
     cls, cone = args.cls, as_cone(args.cls)
     # V(n) (x) V(m) walks min(n, m) + 1 shifts, any other class m + 1
-    _check_shifts(min(cls.m, args.m) + 1 if cone is ASCone.ZERO else args.m + 1)
+    _admit(min(cls.m, args.m) + 1 if cone is ASCone.ZERO else args.m + 1, MAX_PRODUCT_SHIFTS, _SHIFTS)
     from .tensor import decomposition_to_dict, format_summand, ps_tensor, tensor_with_finite
 
     payload = {"class": format_class(cls), "m": args.m}
@@ -178,7 +190,7 @@ def _cmd_ktypes(args):
     w = ladder(args.cls)  # read off the window: no K-type of V(m) is listed
     lo, hi = args.window
     weights = _weight_range(lo, hi, w.eps)
-    _check_listed(args.window, len(weights))
+    _admit(weights, MAX_LISTED_WEIGHTS, _LISTED, lo, hi)
     payload = {
         "class": format_class(args.cls),
         "parity": w.eps,
@@ -233,12 +245,10 @@ def _cmd_lattice(args):
 
     points = sorted(frozenset().union(*irreducible_closed_sets(args.lambda_keys)), key=point_sort_key)
     p = len(points) - 3
-    if p > MAX_LATTICE_PS_POINTS:
-        n_sets, n_covers = structural_counts(p)
-        raise ValueError(
-            f"argument --lambda-keys: {p} principal series points give {n_sets} sets and "
-            f"{n_covers} covers; at most {MAX_LATTICE_PS_POINTS} points are enumerated"
-        )
+    n_sets, n_covers = structural_counts(p)
+    counts = f"{n_sets} sets and {n_covers} covers" if n_covers < 2**64 else f"5*2^{p} sets"
+    refusal = "argument --lambda-keys: {n} principal series points give {0}; at most {cap} points are enumerated"
+    _admit(p, MAX_LATTICE_PS_POINTS, refusal, counts)
     combos = closed_index_sets(points)
     names = [format_point(point) for point in points]
     payload = {
@@ -289,11 +299,12 @@ def _lattice_dot(p: dict):
 
 
 def _cmd_verify(args):
+    _admit_oracle((args.lam,), (args.m,), "lam", "m")
     from .oracle import default_window, verdict_to_dict, verify_tensor
 
     if args.format == "json":  # the text line formats no per-weight spectrum
         window = args.window or default_window(args.lam, args.eps, args.m)
-        _check_listed(window, len(_weight_range(*window, args.eps + args.m)))
+        _admit(_weight_range(*window, args.eps + args.m), MAX_LISTED_WEIGHTS, _LISTED, *window)
     verdict = verify_tensor(args.lam, args.eps, args.m, args.window)
     payload = verdict_to_dict(verdict) if args.format == "json" else {}
     return payload, _line(_verify_line, verdict), verdict.passed
@@ -303,9 +314,12 @@ def _cmd_sweep(args):
     for flag, values in (("--lambdas", args.lambdas), ("--ms", args.ms)):
         if not values:
             raise ValueError(f"argument {flag}: expected at least one value")
+    lams, ms = set(args.lambdas), set(args.ms)
+    _admit_oracle(lams, ms, "--lambdas", "--ms")
+    _admit(len(lams) * 2 * len(ms), MAX_SWEEP_ROWS, "the sweep runs {n} verifications; at most {cap} are run")
     from .oracle import _run_to_dict, verify_tensor
 
-    combos = sorted((lam, eps, m) for lam in set(args.lambdas) for eps in (0, 1) for m in set(args.ms))
+    combos = sorted((lam, eps, m) for lam in lams for eps in (0, 1) for m in ms)
     verdicts = [verify_tensor(*combo) for combo in combos]
     failures = sum(1 for v in verdicts if not v.passed)
     payload = {

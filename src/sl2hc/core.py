@@ -12,9 +12,10 @@ The building blocks:
 All continuous parameters are exact rationals (``fractions.Fraction``).
 Every case distinction in this package depends only on integrality and
 parity of the parameter, so rationals decide every branch without rounding.
-Code that needs a larger exact coefficient field only has to swap out
-``as_scalar`` / ``is_integer``; nothing downstream assumes more than field
-arithmetic plus those two predicates.
+A larger exact coefficient field would need more than a new ``as_scalar`` /
+``is_integer``: ``oracle._diagonals``, ``eigenvalue_candidates`` and
+``ps_tensor`` read a scalar's ``numerator`` and ``denominator``, and
+``reduce_to_base`` takes its ``math.floor``.
 """
 
 from __future__ import annotations

@@ -5,7 +5,14 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from sl2hc.cli import MAX_LISTED_WEIGHTS, MAX_PRODUCT_SHIFTS, main
+from sl2hc.cli import (
+    MAX_LAMBDA_BITS,
+    MAX_LISTED_WEIGHTS,
+    MAX_ORACLE_M,
+    MAX_PRODUCT_SHIFTS,
+    MAX_SWEEP_ROWS,
+    main,
+)
 from sl2hc.core import (
     DiscreteSeries,
     FinDim,
@@ -368,6 +375,12 @@ USAGE_ERRORS += [
     ("ktypes", "V(2)", "--window", "-8000", "8000"),
     ("ktypes", "I(1/3,1)", "--window", "-1000000", "1000000"),
 ]
+# Counts past sys.maxsize, once an OverflowError traceback with exit 1.
+HUGE = "100000000000000000000"
+USAGE_ERRORS += [
+    ("ktypes", "V(2)", "--window", f"-{HUGE}", HUGE),
+    ("verify", HUGE, "0", "1"),
+]
 
 
 def test_every_usage_error_is_one_line(capsys):
@@ -426,6 +439,71 @@ def test_json_verify_refuses_a_long_listing_before_the_oracle_runs(capsys, monke
     assert run(capsys, *argv) == (2, "", message)
     message = "window [-8001,8001] lists 8002 weights; at most 8000 are listed\n"  # the default window
     assert run(capsys, "--format", "json", "verify", "7993", "0", "1") == (2, "", message)
+
+
+def test_counts_past_sys_maxsize_are_refused_by_arithmetic(capsys):
+    message = (
+        "window [-100000000000000000000,100000000000000000000] lists 100000000000000000001 weights; "
+        "at most 8000 are listed\n"
+    )
+    assert run(capsys, "ktypes", "V(2)", "--window", f"-{HUGE}", HUGE) == (2, "", message)
+    message = f"window [-{HUGE},{HUGE}] lists {HUGE} weights; at most 8000 are listed\n"  # odd weights only
+    argv = ("--format", "json", "verify", "--window", f"-{HUGE}", HUGE, "--", "7/5", "0", "1")
+    assert run(capsys, *argv) == (2, "", message)
+
+
+def test_oracle_caps_refuse_with_the_value_and_the_cap(capsys):
+    assert (MAX_ORACLE_M, MAX_LAMBDA_BITS, MAX_SWEEP_ROWS) == (1024, 64, 1000)
+    refusals = {
+        ("verify", "7/5", "0", "1025"): "argument m: m=1025 is above the cap; at most m=1024 is verified",
+        ("verify", HUGE, "0", "1"): (
+            "argument lam: a numerator or denominator of 67 bits; at most 64 bits are verified"
+        ),
+        ("verify", "1/36893488147419103232", "0", "1"): (
+            "argument lam: a numerator or denominator of 66 bits; at most 64 bits are verified"
+        ),
+        ("sweep", "--lambdas=1/2", "--ms=0,1025,3"): (
+            "argument --ms: m=1025 is above the cap; at most m=1024 is verified"
+        ),
+        ("sweep", "--lambdas=-18446744073709551616/3,1", "--ms=0"): (
+            "argument --lambdas: a numerator or denominator of 65 bits; at most 64 bits are verified"
+        ),
+        ("sweep", "--lambdas=" + ",".join(map(str, range(501))), "--ms=0,0"): (
+            "the sweep runs 1002 verifications; at most 1000 are run"
+        ),
+    }
+    for argv, message in refusals.items():
+        for fmt in ("text", "json"):
+            assert run(capsys, "--format", fmt, *argv) == (2, "", message + "\n"), argv
+
+
+def test_oracle_caps_admit_their_edge(capsys, monkeypatch):
+    from sl2hc import oracle
+
+    calls = []
+
+    def reached(*args):
+        calls.append(args)
+        raise UnexpectedEigenvalueError("reached")
+
+    monkeypatch.setattr(oracle, "verify_tensor", reached)
+    for argv in (
+        ("verify", "7/5", "0", "1024"),
+        ("verify", "--", "-18446744073709551615/2", "0", "0"),
+        ("verify", "18446744073709551615/18446744073709551614", "1", "3"),
+        ("sweep", "--lambdas=" + ",".join(map(str, range(500))) + ",0/7", "--ms=0,0"),
+    ):
+        assert run(capsys, *argv) == (3, "", "FAIL (reached)\n"), argv
+    assert [args[2] for args in calls[:3]] == [1024, 0, 3] and len(calls) == 4
+
+
+def test_lattice_refusal_names_its_point_count_at_any_window(capsys):
+    keys = ",".join(f"1/{q}" for q in range(3, 7303))
+    message = (
+        "argument --lambda-keys: 14600 principal series points give 5*2^14600 sets; "
+        "at most 12 points are enumerated\n"
+    )
+    assert run(capsys, "lattice", f"--lambda-keys={keys}") == (2, "", message)
 
 
 def test_blanks_around_a_numeral_are_stripped(capsys):

@@ -159,6 +159,17 @@ def test_refused_products_load_no_tensor():
         assert {name for name in _loaded(*argv) if name.startswith("sl2hc")} == {"sl2hc", "sl2hc.cli", "sl2hc.core"}, argv
 
 
+def test_refused_oracle_runs_load_no_oracle():
+    for argv in (
+        ("verify", "7/5", "0", "2048"),
+        ("--format", "json", "verify", "1/36893488147419103232", "0", "1"),
+        ("sweep", "--lambdas=1/2", "--ms=0,1025"),
+        ("sweep", "--lambdas=" + ",".join(map(str, range(501))), "--ms=0"),
+    ):
+        loaded = {name for name in _loaded(*argv) if name.startswith("sl2hc")}
+        assert loaded == {"sl2hc", "sl2hc.cli", "sl2hc.core"}, argv
+
+
 def test_oracle_commands_load_the_oracle():
     for argv in (
         ("verify", "1/2", "0", "1"),
