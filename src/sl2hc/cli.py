@@ -233,6 +233,7 @@ def _cmd_classify(args):
 
 def _cmd_lattice(args):
     from .lattice import (
+        _ps_point_count,
         closed_index_sets,
         format_point,
         index_cover_edges,
@@ -243,19 +244,20 @@ def _cmd_lattice(args):
         structural_counts,
     )
 
-    points = sorted(frozenset().union(*irreducible_closed_sets(args.lambda_keys)), key=point_sort_key)
-    p = len(points) - 3
+    p = _ps_point_count(args.lambda_keys)
     n_sets, n_covers = structural_counts(p)
     counts = f"{n_sets} sets and {n_covers} covers" if n_covers < 2**64 else f"5*2^{p} sets"
     refusal = "argument --lambda-keys: {n} principal series points give {0}; at most {cap} points are enumerated"
     _admit(p, MAX_LATTICE_PS_POINTS, refusal, counts)
-    combos = closed_index_sets(points)
+    points = sorted(frozenset().union(*irreducible_closed_sets(args.lambda_keys)), key=point_sort_key)
+    edges = specialization_edges(points)
+    combos = closed_index_sets(points, edges)
     names = [format_point(point) for point in points]
     payload = {
         "points": [{"point": name, "orbit": orbit_label(point)} for name, point in zip(names, points)],
         "sets": [list(map(names.__getitem__, combo)) for combo in combos],
         "covers": index_cover_edges(combos),
-        "specializations": [[format_point(a), format_point(b)] for a, b in specialization_edges(points)],
+        "specializations": [[format_point(a), format_point(b)] for a, b in edges],
     }
     render = _lattice_dot if args.format == "dot" else _lattice_text
     return payload, render(payload), True
@@ -302,10 +304,10 @@ def _cmd_verify(args):
     _admit_oracle((args.lam,), (args.m,), "lam", "m")
     from .oracle import default_window, verdict_to_dict, verify_tensor
 
+    window = args.window or default_window(args.lam, args.eps, args.m)
     if args.format == "json":  # the text line formats no per-weight spectrum
-        window = args.window or default_window(args.lam, args.eps, args.m)
         _admit(_weight_range(*window, args.eps + args.m), MAX_LISTED_WEIGHTS, _LISTED, *window)
-    verdict = verify_tensor(args.lam, args.eps, args.m, args.window)
+    verdict = verify_tensor(args.lam, args.eps, args.m, window)
     payload = verdict_to_dict(verdict) if args.format == "json" else {}
     return payload, _line(_verify_line, verdict), verdict.passed
 

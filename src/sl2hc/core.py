@@ -401,9 +401,6 @@ class VirtualModule(Record):
     def is_effective(self) -> bool:
         return all(n >= 0 for _, n in self._entries)
 
-    def total_multiplicity(self) -> int:
-        return sum(n for _, n in self._entries)
-
     def dimension(self) -> int:
         """Total dimension; defined only for effective finite-dimensional combinations."""
         total = 0
@@ -648,21 +645,10 @@ class ASCone(Enum):
 
 
 def as_cone(x: IrreducibleClass) -> ASCone:
-    """``ascone_from_ktypes(ktype_function(x))`` read off the ladder's open sides."""
+    """Asymptotic cone of the K-type support, read off the ladder's open sides;
+    the tests check it against the tails of ``ktype_function(x)``."""
     _, _, lo, hi = _kind(x).window(x)
     return ASCone((hi is None, lo is None))
-
-
-def ascone_from_ktypes(f: KTypeFunction) -> ASCone:
-    """Asymptotic cone computed directly from a K-type support set.
-
-    The support is unbounded in a direction exactly when the tail on that
-    side is positive, which is what scaling the truncated support to zero
-    detects.
-    """
-    if f == KTypeFunction.zero(f.parity):
-        raise ValueError("undefined on empty support")
-    return ASCone((f.tail_right > 0, f.tail_left > 0))
 
 
 def as_cone_module(x: VirtualModule) -> ASCone:

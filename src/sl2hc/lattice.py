@@ -218,7 +218,7 @@ def irreducible_closed_sets(lambdas: Iterable[Scalar]) -> list:
     """
     ps_points = {
         ps_class_point(lam0, e)
-        for lam0 in map(reduce_to_base, lambdas)
+        for lam0 in set(map(reduce_to_base, lambdas))
         for e in (0, 1)
         if principal_is_irreducible(lam0, e)
     }
@@ -226,14 +226,13 @@ def irreducible_closed_sets(lambdas: Iterable[Scalar]) -> list:
     return [closure({p}) for p in points]
 
 
-def closed_index_sets(points: list) -> list:
+def closed_index_sets(points: list, edges: list) -> list:
     """Closed sets over distinct points as index tuples, by size and then
     lexicographically (over sorted points, the order of the sorted keys): the
-    down-sets, which hold each point that the closure of one of theirs adds."""
+    down-sets of the points' ``specialization_edges`` (p, q), which hold q with p."""
     index, adders = {p: i for i, p in enumerate(points)}, {}
-    for i, p in enumerate(points):
-        for q in closure({p}) - {p}:  # i adds q, whose index is -1 off the window
-            adders.setdefault(index.get(q, -1), set()).add(i)
+    for p, q in edges:  # p adds q, whose index is -1 off the window
+        adders.setdefault(index.get(q, -1), set()).add(index[p])
     n = len(points)
     combos = itertools.chain.from_iterable(map(itertools.combinations, itertools.repeat(range(n)), range(n + 1)))
     for j, sources in adders.items():
@@ -261,7 +260,7 @@ def enumerate_submodule_sets(points: Iterable[ClassPoint]) -> list:
     """All valid submodule sets over a finite window of class points,
     ordered by size, then by the sorted point keys."""
     pts = sorted(set(points), key=point_sort_key)
-    return [frozenset(map(pts.__getitem__, combo)) for combo in closed_index_sets(pts)]
+    return [frozenset(map(pts.__getitem__, combo)) for combo in closed_index_sets(pts, specialization_edges(pts))]
 
 
 def cover_edges(sets: list) -> list:
@@ -276,6 +275,12 @@ def structural_counts(p: int) -> tuple:
     series points: the 5-element lattice on {Fd, C+, C-} times the Boolean
     lattice on the p points, with every cover adding one point."""
     return 5 * 2**p, 5 * 2**p + 5 * p * 2**p // 2
+
+
+def _ps_point_count(lambdas: Iterable[Scalar]) -> int:
+    """Principal series points of ``irreducible_closed_sets(lambdas)``, building none:
+    a base parameter gives 1 when twice it is an integer (the parity collapses), else 2."""
+    return sum(1 if is_integer(2 * lam0) else 2 for lam0 in set(map(reduce_to_base, lambdas)))
 
 
 def specialization_edges(points: Iterable[ClassPoint]) -> list:

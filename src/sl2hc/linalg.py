@@ -27,10 +27,6 @@ from math import lcm
 Matrix = list
 
 
-def identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n, m, p = len(a), len(b), len(b[0]) if b else 0
     assert all(len(row) == m for row in a)

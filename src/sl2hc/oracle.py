@@ -68,7 +68,7 @@ from .core import (
     ladder,
 )
 from .linalg import mat_mul, root_multiplicity, tridiagonal_char_poly, tridiagonal_jordan_block_sizes
-from .tensor import LengthTwo, ps_tensor
+from .tensor import ps_tensor
 
 
 # --- realizations ------------------------------------------------------------
@@ -107,15 +107,14 @@ def _ladder_map(a: Ladder, b: Ladder, k: int, step: int) -> list:
     return mat
 
 
-def casimir_matrix(a: Ladder, b: Ladder | None, k: int) -> list:
+def casimir_matrix(a: Ladder, b: Ladder, k: int) -> list:
     """Exact matrix of Omega = H'^2 + 1 + 2 E'F' + 2 F'E' on the weight-k
-    subspace W_k of a (x) b, with b = V(0) when None (columns are images).
+    subspace W_k of a (x) b (columns are images); b = V(0) takes a alone.
 
     H' is k on W_k.  E'F' + F'E' is one product of ``_ladder_map``s through
     W_{k-2} + W_{k+2}, the block row [E'_{k-2} F'_{k+2}] times the block
     column [F'_k; E'_k]; an empty neighbour has no block and adds nothing.
     """
-    b = FinDimRealization(0) if b is None else b
     n = len(_basis(a, b, k))
     if not n:
         raise ValueError(f"no vectors at this K-weight: k={k}")
@@ -318,8 +317,8 @@ def verify_tensor(lam: Scalar, eps: int, m: int, window: tuple | None = None) ->
     blocks = [b for s in summands for b in s.blocks]
     counts = Counter(b.lam ** 2 for b in blocks if b.eps == parity)
     predicted = tuple(sorted(counts.items()))
-    # value of a LengthTwo block -> the Jordan profiles seen there
-    glued = {b.lam ** 2: set() for s in summands if isinstance(s, LengthTwo) for b in s.blocks}
+    # value of a glued (two-block) summand -> the Jordan profiles seen there
+    glued = {b.lam ** 2: set() for s in summands if len(s.blocks) == 2 for b in s.blocks}
     first = report.segments[0].eigenvalues
     passed = sum(counts.values()) == len(blocks) and tuple([(value, mult) for value, mult, _ in first]) == predicted
     # every segment lists the values in the first one's order

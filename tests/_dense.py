@@ -1,9 +1,13 @@
-"""Dense references shared by the tests: the band as a full matrix, a
-weight's spectrum from the dense routines of ``linalg``, and a weight's
-Casimir multiplicities predicted from a module's classes."""
+"""Dense references shared by the tests: the identity and the band as full
+matrices, a weight's spectrum from the dense routines of ``linalg``, and a
+weight's Casimir multiplicities predicted from a module's classes."""
 
 from sl2hc.core import casimir_value, ktype_function
 from sl2hc.linalg import char_poly, clear_denominators, jordan_block_sizes, root_multiplicity
+
+
+def identity(n: int) -> list:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def band_rows(diag, upper, lower):

@@ -506,6 +506,22 @@ def test_lattice_refusal_names_its_point_count_at_any_window(capsys):
     assert run(capsys, "lattice", f"--lambda-keys={keys}") == (2, "", message)
 
 
+def test_lattice_refusal_builds_no_class_point(capsys, monkeypatch):
+    """The point count comes from the keys alone, so a window past the cap
+    is refused before the first of its 14,600 points is built."""
+
+    def refuse(*args):
+        raise AssertionError("a class point was built")
+
+    monkeypatch.setattr("sl2hc.lattice.ps_class_point", refuse)
+    keys = ",".join(f"1/{q}" for q in range(3, 7303))
+    message = (
+        "argument --lambda-keys: 14600 principal series points give 5*2^14600 sets; "
+        "at most 12 points are enumerated\n"
+    )
+    assert run(capsys, "lattice", f"--lambda-keys={keys}") == (2, "", message)
+
+
 def test_blanks_around_a_numeral_are_stripped(capsys):
     assert run(capsys, "cg", " 3", "1 ") == run(capsys, "cg", "3", "1")
     assert run(capsys, "series", " -7/3 ", "0") == run(capsys, "series", "--", "-7/3", "0")

@@ -19,6 +19,7 @@ from sl2hc.lattice import (
     FD_POINT,
     HOL_POINT,
     ClassPoint,
+    _ps_point_count,
     class_closure,
     classify_irreducible,
     closure,
@@ -180,6 +181,13 @@ def test_irreducible_closed_sets():
     assert len(sets) == 5
     assert frozenset({ClassPoint("ps", F(1, 3), 0)}) in sets
     assert frozenset({ClassPoint("ps", F(1, 3), 1)}) in sets
+
+
+@given(st.lists(st.builds(F, st.integers(-24, 24), st.integers(1, 8)), max_size=12))
+def test_ps_point_count_is_the_number_of_built_points(keys):
+    """The count the lattice command refuses by, before any point is built:
+    one point per distinct base parameter whose double is an integer, else two."""
+    assert _ps_point_count(keys) == len(frozenset().union(*irreducible_closed_sets(keys))) - 3
 
 
 def test_classify_irreducible_frozen_values():

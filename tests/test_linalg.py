@@ -8,7 +8,6 @@ from sl2hc.linalg import (
     char_poly,
     clear_denominators,
     divide_out_root,
-    identity,
     jordan_block_sizes,
     mat_mul,
     mat_sub_scalar,
@@ -18,7 +17,7 @@ from sl2hc.linalg import (
     tridiagonal_jordan_block_sizes,
 )
 
-from _dense import band_rows
+from _dense import band_rows, identity
 
 
 def test_identity_and_mat_mul():

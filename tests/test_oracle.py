@@ -84,20 +84,20 @@ def test_casimir_matrix_on_single_principal_series():
         for eps in (0, 1):
             r = PrincipalSeriesRealization(lam, eps)
             for k in (eps, eps + 2, eps - 6):
-                assert casimir_matrix(r, None, k) == [[lam * lam]]
+                assert casimir_matrix(r, FinDimRealization(0), k) == [[lam * lam]]
 
 
 def test_casimir_matrix_on_finite_dimensional():
     for m in range(5):
         r = FinDimRealization(m)
         for k in range(-m, m + 1, 2):
-            assert casimir_matrix(r, None, k) == [[Fraction((m + 1) ** 2)]]
+            assert casimir_matrix(r, FinDimRealization(0), k) == [[Fraction((m + 1) ** 2)]]
     assert casimir_on_symmetric_power(3) == [Fraction(16)] * 4
 
 
 def test_casimir_matrix_requires_a_vector():
     with pytest.raises(ValueError):
-        casimir_matrix(FinDimRealization(1), None, 5)
+        casimir_matrix(FinDimRealization(1), FinDimRealization(0), 5)
     with pytest.raises(ValueError):
         casimir_matrix(FinDimRealization(0), FinDimRealization(0), 1)
 
@@ -627,6 +627,37 @@ def test_verify_tensor_cost_does_not_follow_the_window():
     verdict = verify_tensor(10**6, 0, 1)
     assert time.perf_counter() - start < 0.5
     assert verdict.passed and len(verdict.segments) == 1
+
+
+@pytest.mark.parametrize("case, work", [((10**6, 0, 1), (1, 0)), ((3, 0, 8), (7, 10))])
+def test_verify_tensor_work_does_not_follow_the_window(monkeypatch, case, work):
+    """The counted work beside the wall-clock bound above: the bands built
+    (``_diagonals``) and the minor sweeps run (``linalg._leading_minors``)
+    are set by the breaks inside the window, not by its width.  They are the
+    same at the default window and at +-10^9, and a window of one weight,
+    which holds no break, builds one band and sweeps nothing."""
+    from sl2hc import linalg, oracle
+
+    counts = Counter()
+
+    def counted(name, f):
+        def wrapper(*args):
+            counts[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(oracle, "_diagonals", counted("bands", oracle._diagonals))
+    monkeypatch.setattr(linalg, "_leading_minors", counted("sweeps", linalg._leading_minors))
+
+    def work_at(window):
+        counts.clear()
+        assert verify_tensor(*case, window).passed
+        return counts["bands"], counts["sweeps"]
+
+    lo, hi = default_window(*case)
+    assert work_at((lo, hi)) == work_at((-(10**9), 10**9)) == work
+    assert work_at((lo, lo)) == (1, 0)
 
 
 @given(_integral_cases())
